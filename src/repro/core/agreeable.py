@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional, Tuple
 
 from repro.core import vectorized
-from repro.core.blocks import BlockSolution, solve_block
+from repro.core.blocks import BlockSolution, solve_block, solve_blocks_by_length
 from repro.models.platform import Platform
 from repro.models.task import TaskSet
 from repro.schedule.timeline import ExecutionInterval, Schedule
@@ -84,6 +84,14 @@ def solve_agreeable(
         Charge ``alpha_m * xi_m`` per block in the DP (the Section 7
         extension).  With a positive overhead the DP naturally merges
         blocks whose separation cannot amortize a sleep cycle.
+
+    Under the numpy backend the ``'descent'`` blocks are priced together,
+    one batched descent per block length
+    (:func:`repro.core.blocks.solve_blocks_by_length`), bit-identical to
+    per-block :func:`~repro.core.blocks.solve_block` calls but bypassing
+    its per-block memo.  Repeated whole-instance solves are served by the
+    result cache (:mod:`repro.experiments.cache`) in the sweep engine and
+    the solve service, not by this function.
     """
     if not tasks.is_agreeable():
         raise ValueError("Section 5 schemes require agreeable deadlines")
@@ -112,23 +120,22 @@ def solve_agreeable(
     ]
 
     # Price every consecutive block tau'[p:q] that can appear in an optimum.
-    # Under the numpy backend every subset's BlockArrays is a slice of the
-    # parent's (deadline order is preserved by slicing), so pre-seeding the
-    # arrays cache skips O(n^2) per-subset tuple unpacking.
-    use_numpy = vectorized.use_numpy()
-    block_solutions: Dict[Tuple[int, int], BlockSolution] = {}
+    spans: List[Tuple[int, int]] = []
     for p in range(n):
         spans_gap = False
         for q in range(p + 1, n + 1):
             if q >= p + 2 and gap_after[q - 2]:
                 spans_gap = True
-            if prune_gaps and spans_gap:
-                continue
-            if use_numpy:
-                vectorized.register_subset_arrays(tasks, p, q)
-            block_solutions[(p, q)] = solve_block(
-                tasks.subset(p, q), platform, method=block_method
-            )
+            if not (prune_gaps and spans_gap):
+                spans.append((p, q))
+    block_solutions: Dict[Tuple[int, int], BlockSolution]
+    if block_method == "descent" and vectorized.get_backend() == "numpy":
+        block_solutions = solve_blocks_by_length(tasks, platform, spans)
+    else:
+        block_solutions = {
+            (p, q): solve_block(tasks.subset(p, q), platform, method=block_method)
+            for p, q in spans
+        }
 
     # DP over prefixes (Lemma 4 ordering).  Singleton blocks are never
     # pruned, so a finite-cost path always exists.

@@ -59,6 +59,7 @@ __all__ = [
     "TaskPlacement",
     "BlockSolution",
     "solve_block",
+    "solve_blocks_by_length",
     "block_energy",
     "block_energy_cache_info",
     "block_energy_cache_clear",
@@ -242,14 +243,8 @@ def _placements_at(
     0`` with slack) run at critical speed from the start of their window.
     """
     if vectorized.use_numpy():
-        los, durations, speeds = vectorized.placement_arrays(
-            tasks, platform, start, end
-        )
-        return tuple(
-            TaskPlacement(task.name, lo, lo + duration, speed)
-            for task, lo, duration, speed in zip(
-                tasks, los.tolist(), durations.tolist(), speeds.tolist()
-            )
+        return _placements_of(
+            tasks, *vectorized.placement_arrays(tasks, platform, start, end)
         )
     placements: List[TaskPlacement] = []
     for task in tasks:
@@ -260,6 +255,20 @@ def _placements_at(
             TaskPlacement(task.name, lo, lo + duration, task.workload / duration)
         )
     return tuple(placements)
+
+
+def _placements_of(
+    tasks: Sequence[Task],
+    los: "vectorized.np.ndarray",
+    durations: "vectorized.np.ndarray",
+    speeds: "vectorized.np.ndarray",
+) -> Tuple[TaskPlacement, ...]:
+    return tuple(
+        TaskPlacement(task.name, lo, lo + duration, speed)
+        for task, lo, duration, speed in zip(
+            tasks, los.tolist(), durations.tolist(), speeds.tolist()
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,38 +338,40 @@ def _minimize_2d(
 
 
 def _minimize_2d_batch(
-    tasks: TaskSet,
+    rows: "vectorized.BlockRows",
     platform: Platform,
-    x_bounds: Sequence[Tuple[float, float]],
-    y_bounds: Sequence[Tuple[float, float]],
-    starts: Sequence[Tuple[float, float]],
+    row_of: Optional["vectorized.np.ndarray"],
+    x_lo: "vectorized.np.ndarray",
+    x_hi: "vectorized.np.ndarray",
+    y_lo: "vectorized.np.ndarray",
+    y_hi: "vectorized.np.ndarray",
+    sx: "vectorized.np.ndarray",
+    sy: "vectorized.np.ndarray",
     *,
     tol: float = 1e-9,
     max_rounds: int = 80,
-) -> Tuple[List[float], List[float], List[float]]:
+) -> Tuple["vectorized.np.ndarray", "vectorized.np.ndarray", "vectorized.np.ndarray"]:
     """Batched :func:`_minimize_2d`: K independent descents advance together.
 
-    Element ``k`` runs the same coordinate + diagonal rounds as the scalar
-    descent over its own box from its own start, but every golden-section
-    iteration evaluates all still-active elements' probes in a single
-    :func:`repro.core.vectorized.block_energy_batch` call.  Used for the
-    multi-start descent (one element per start) and the coupled Eq. (13)
-    pair cells (one element per cell).
+    Element ``k`` minimizes the block energy of row ``row_of[k]`` of
+    ``rows`` (``row_of`` may be ``None`` for a one-row stack) over its own
+    box ``[x_lo, x_hi] x [y_lo, y_hi]`` from its own start ``(sx, sy)``,
+    running the same coordinate + diagonal rounds as the scalar descent;
+    every golden-section iteration evaluates all still-active elements'
+    probes in a single :func:`repro.core.vectorized.block_energy_rows`
+    call.  Used for the
+    multi-start descent of one block (:func:`_descend_rows`, which also
+    serves the agreeable DP's same-length block groups) and the coupled
+    Eq. (13) pair cells (one element per cell).  Returns per-element
+    ``(x, y, value)`` arrays.
     """
     np = vectorized.np
-    x_lo = np.asarray([b[0] for b in x_bounds], dtype=np.float64)
-    x_hi = np.asarray([b[1] for b in x_bounds], dtype=np.float64)
-    y_lo = np.asarray([b[0] for b in y_bounds], dtype=np.float64)
-    y_hi = np.asarray([b[1] for b in y_bounds], dtype=np.float64)
-    x = np.minimum(
-        np.maximum(np.asarray([s[0] for s in starts], dtype=np.float64), x_lo), x_hi
-    )
-    y = np.minimum(
-        np.maximum(np.asarray([s[1] for s in starts], dtype=np.float64), y_lo), y_hi
-    )
+    x = np.minimum(np.maximum(sx, x_lo), x_hi)
+    y = np.minimum(np.maximum(sy, y_lo), y_hi)
 
-    def energy(xs: "vectorized.np.ndarray", ys: "vectorized.np.ndarray"):
-        return vectorized.block_energy_batch(tasks, platform, xs, ys)
+    def energy(xs, ys, elems):
+        owners = None if row_of is None else row_of[elems]
+        return vectorized.block_energy_rows(rows, platform, owners, xs, ys)
 
     def line(idx: "vectorized.np.ndarray", dx: float, dy: float):
         """Advance elements ``idx`` along ``(dx, dy)``; return their values."""
@@ -377,14 +388,14 @@ def _minimize_2d_batch(
             elif dv < 0:
                 t_lo = np.maximum(t_lo, (hi_b - v) / dv)
                 t_hi = np.minimum(t_hi, (lo_b - v) / dv)
-        here = energy(xi, yi)
+        here = energy(xi, yi, idx)
         movable = np.flatnonzero(t_hi > t_lo)
         if movable.shape[0] == 0:
             return here
 
         def along(ts, owners):
             o = movable[owners]
-            return energy(xi[o] + ts * dx, yi[o] + ts * dy)
+            return energy(xi[o] + ts * dx, yi[o] + ts * dy, idx[o])
 
         t_best, t_val = golden_section_minimize_batch(
             along, t_lo[movable], t_hi[movable], tol=tol
@@ -399,7 +410,7 @@ def _minimize_2d_batch(
         out[m] = t_val[move]
         return out
 
-    value = energy(x, y)
+    value = energy(x, y, np.arange(x.shape[0]))
     active = np.ones(x.shape[0], dtype=bool)
     for _ in range(max_rounds):
         idx = np.flatnonzero(active)
@@ -413,48 +424,81 @@ def _minimize_2d_batch(
         done = old - new_value <= np.maximum(tol, tol * np.abs(old))
         value[idx] = np.where(done, np.minimum(old, new_value), new_value)
         active[idx[done]] = False
-    return x.tolist(), y.tolist(), value.tolist()
+    return x, y, value
+
+
+def _descend_rows(
+    rows: "vectorized.BlockRows", platform: Platform
+) -> Tuple["vectorized.np.ndarray", "vectorized.np.ndarray", "vectorized.np.ndarray"]:
+    """Per-row ``(start, end, energy)`` of a same-width block stack.
+
+    Runs :func:`_solve_block_descent`'s four starts for every row as one
+    ``G x 4``-element batched descent and keeps each row's first strict
+    minimum over the starts, as the scalar selection loop does.
+    """
+    np = vectorized.np
+    releases, deadlines = rows.releases, rows.deadlines
+    num_rows = releases.shape[0]
+    s_lo, s_hi = releases.min(axis=1), deadlines[:, 0]
+    e_lo, e_hi = releases[:, -1], deadlines.max(axis=1)
+    # The same four starts as the scalar and jit descents in
+    # _solve_block_descent; element 4 * g + j is row g's start j.
+    sx = np.stack([s_lo, 0.5 * (s_lo + s_hi), s_lo, s_hi], axis=1).ravel()
+    sy = np.stack(
+        [e_hi, 0.5 * (e_lo + e_hi), np.where(e_lo > s_lo, e_lo, e_hi), e_hi],
+        axis=1,
+    ).ravel()
+    xs, ys, values = _minimize_2d_batch(
+        rows,
+        platform,
+        np.repeat(np.arange(num_rows), 4),
+        np.repeat(s_lo, 4),
+        np.repeat(s_hi, 4),
+        np.repeat(e_lo, 4),
+        np.repeat(e_hi, 4),
+        sx,
+        sy,
+    )
+    xs, ys, values = (a.reshape(num_rows, 4) for a in (xs, ys, values))
+    start, end, energy = xs[:, 0], ys[:, 0], values[:, 0]
+    for j in range(1, 4):
+        better = values[:, j] < energy
+        start = np.where(better, xs[:, j], start)
+        end = np.where(better, ys[:, j], end)
+        energy = np.where(better, values[:, j], energy)
+    return start, end, energy
 
 
 def _solve_block_descent(tasks: TaskSet, platform: Platform) -> BlockSolution:
-    first, last = tasks[0], tasks[-1]
-    s_lo, s_hi = tasks.earliest_release, first.deadline
-    e_lo, e_hi = last.release, tasks.latest_deadline
-    starts = [
-        (s_lo, e_hi),
-        (0.5 * (s_lo + s_hi), 0.5 * (e_lo + e_hi)),
-        (s_lo, e_lo if e_lo > s_lo else e_hi),
-        (s_hi, e_hi),
-    ]
-    if vectorized.use_jit():
-        # One compiled call runs all starts' descents (same line-search
-        # sequence as _minimize_2d over the memoized scalar objective).
-        from repro.core import kernels
-
-        start, end, energy = kernels.solve_block_descent(
-            tasks, platform, (s_lo, s_hi), (e_lo, e_hi), starts
+    if vectorized.get_backend() == "numpy":
+        start, end, energy = (
+            a.item() for a in _descend_rows(vectorized.block_rows(tasks), platform)
         )
-    elif vectorized.use_numpy():
-        xs, ys, values = _minimize_2d_batch(
-            tasks,
-            platform,
-            [(s_lo, s_hi)] * len(starts),
-            [(e_lo, e_hi)] * len(starts),
-            starts,
-        )
-        best: Optional[Tuple[float, float, float]] = None
-        for x, y, value in zip(xs, ys, values):
-            if best is None or value < best[2]:
-                best = (x, y, value)
-        assert best is not None
-        start, end, energy = best
     else:
-        start, end, energy = _minimize_2d(
-            lambda s, e: block_energy(tasks, platform, s, e),
-            (s_lo, s_hi),
-            (e_lo, e_hi),
-            starts,
-        )
+        first, last = tasks[0], tasks[-1]
+        s_lo, s_hi = tasks.earliest_release, first.deadline
+        e_lo, e_hi = last.release, tasks.latest_deadline
+        starts = [
+            (s_lo, e_hi),
+            (0.5 * (s_lo + s_hi), 0.5 * (e_lo + e_hi)),
+            (s_lo, e_lo if e_lo > s_lo else e_hi),
+            (s_hi, e_hi),
+        ]
+        if vectorized.use_jit():
+            # One compiled call runs all starts' descents (same line-search
+            # sequence as _minimize_2d over the memoized scalar objective).
+            from repro.core import kernels
+
+            start, end, energy = kernels.solve_block_descent(
+                tasks, platform, (s_lo, s_hi), (e_lo, e_hi), starts
+            )
+        else:
+            start, end, energy = _minimize_2d(
+                lambda s, e: block_energy(tasks, platform, s, e),
+                (s_lo, s_hi),
+                (e_lo, e_hi),
+                starts,
+            )
     if energy >= _PENALTY:
         raise ValueError("block infeasible: some task cannot meet its deadline")
     return BlockSolution(
@@ -464,6 +508,55 @@ def _solve_block_descent(tasks: TaskSet, platform: Platform) -> BlockSolution:
         energy=energy,
         placements=_placements_at(tasks, platform, start, end),
     )
+
+
+def solve_blocks_by_length(
+    tasks: TaskSet, platform: Platform, spans: Sequence[Tuple[int, int]]
+) -> Dict[Tuple[int, int], BlockSolution]:
+    """``method='descent'`` block solutions of ``tasks[p:q]`` per span.
+
+    The numpy-backend engine of the agreeable DP.  Spans are grouped by
+    length ``m = q - p``; each group's task rows are sliced from the
+    parent's :class:`~repro.core.vectorized.BlockArrays` as one ``(G, m)``
+    stack and all ``G x 4`` descents run as one batch
+    (:func:`_descend_rows`), so a golden-section step prices every block
+    of that length in one call instead of one call per block.  Each
+    solution is bit-identical to ``solve_block(tasks.subset(p, q),
+    platform)`` under numpy (see :class:`~repro.core.vectorized.BlockRows`).
+    Nothing is written to the per-block memo caches.
+    """
+    np = vectorized.np
+    arr = vectorized.block_arrays(tasks)
+    by_length: Dict[int, List[int]] = {}
+    for p, q in spans:
+        by_length.setdefault(q - p, []).append(p)
+    solutions: Dict[Tuple[int, int], BlockSolution] = {}
+    for m, firsts in by_length.items():
+        take = np.asarray(firsts)[:, None] + np.arange(m)
+        rows = vectorized.BlockRows(
+            releases=arr.releases[take],
+            deadlines=arr.deadlines[take],
+            workloads=arr.workloads[take],
+        )
+        starts, ends, energies = _descend_rows(rows, platform)
+        if (energies >= _PENALTY).any():
+            raise ValueError("block infeasible: some task cannot meet its deadline")
+        record_solver_call("solve_block", len(firsts))
+        los, durations, speeds = vectorized.placement_rows(
+            rows, platform, np.arange(len(firsts)), starts, ends
+        )
+        for g, (p, start, end, energy) in enumerate(
+            zip(firsts, starts.tolist(), ends.tolist(), energies.tolist())
+        ):
+            subset = tasks.subset(p, p + m)
+            solutions[(p, p + m)] = BlockSolution(
+                tasks=subset,
+                start=start,
+                end=end,
+                energy=energy,
+                placements=_placements_of(subset, los[g], durations[g], speeds[g]),
+            )
+    return solutions
 
 
 # ---------------------------------------------------------------------------
@@ -866,11 +959,15 @@ def _sweep_cells_alpha_zero_numpy(
     ci, cj = np.nonzero(consider & coupled)
     if ci.shape[0]:
         xs, ys, cv = _minimize_2d_batch(
-            tasks,
+            vectorized.block_rows(tasks),
             platform,
-            list(zip(s_lo[ci].tolist(), s_hi[ci].tolist())),
-            list(zip(e_lo[cj].tolist(), e_hi[cj].tolist())),
-            list(zip(mid_s[ci].tolist(), mid_e[cj].tolist())),
+            None,
+            s_lo[ci],
+            s_hi[ci],
+            e_lo[cj],
+            e_hi[cj],
+            mid_s[ci],
+            mid_e[cj],
         )
         values[ci, cj] = cv
         px[ci, cj] = xs

@@ -13,11 +13,16 @@ This module provides the batched counterparts:
 * :class:`BlockArrays` -- a task set's releases / deadlines / workloads as
   ndarrays (deadline-sorted, matching ``TaskSet`` order) plus workload
   prefix sums, built once per content signature and LRU-cached;
-* :func:`block_energy_batch` -- the graded-penalty block energy of
+* :class:`BlockRows` -- G same-width consecutive blocks stacked as
+  ``(G, m)`` rows, so the agreeable DP prices every block of one length
+  in one batch;
+* :func:`block_energy_rows` -- the graded-penalty block energy of
   ``repro.core.blocks._block_energy_uncached`` evaluated at a whole array
-  of ``(start, end)`` candidates in one shot;
-* :func:`placement_arrays` -- the per-task best-response placement vectors
-  behind ``_placements_at``;
+  of ``(row, start, end)`` candidates in one shot
+  (:func:`block_energy_batch` is its one-task-set wrapper);
+* :func:`placement_rows` -- the per-task best-response placements behind
+  ``_placements_at``, from the same rows kernel (:func:`placement_arrays`
+  wraps it for one busy interval);
 * :func:`overhead_energy_batch` -- the Section 7 break-even-aware energy of
   ``repro.core.transition.overhead_energy_at_delta`` over an array of
   sleep-length candidates;
@@ -69,10 +74,13 @@ __all__ = [
     "block_arrays",
     "block_arrays_cache_clear",
     "block_arrays_cache_size",
-    "register_subset_arrays",
+    "BlockRows",
+    "block_rows",
     "prefetch_block_arrays",
     "block_energy_batch",
+    "block_energy_rows",
     "placement_arrays",
+    "placement_rows",
     "schedule_geometry_arrays",
     "OverheadScan",
     "overhead_scan",
@@ -262,12 +270,6 @@ def _freeze(arr: "np.ndarray") -> "np.ndarray":
     return arr
 
 
-def _cache_put(key: Tuple, arrays: BlockArrays) -> None:
-    _ARRAYS_CACHE[key] = arrays
-    if len(_ARRAYS_CACHE) > _ARRAYS_CACHE_MAX:
-        _ARRAYS_CACHE.popitem(last=False)
-
-
 def block_arrays(tasks: TaskSet) -> BlockArrays:
     """The (cached) :class:`BlockArrays` for a task set's content.
 
@@ -293,38 +295,10 @@ def block_arrays(tasks: TaskSet) -> BlockArrays:
         workloads=_freeze(workloads),
         workload_prefix=_freeze(prefix),
     )
-    _cache_put(key, arrays)
+    _ARRAYS_CACHE[key] = arrays
+    if len(_ARRAYS_CACHE) > _ARRAYS_CACHE_MAX:
+        _ARRAYS_CACHE.popitem(last=False)
     return arrays
-
-
-def register_subset_arrays(parent: TaskSet, start: int, stop: int) -> None:
-    """Pre-seed the arrays cache for ``parent.subset(start, stop)``.
-
-    The agreeable DP prices O(n^2) consecutive blocks of one parent set;
-    each block's arrays are slices of the parent's, so building them from
-    views skips the per-subset tuple unpacking.  Deadline order is
-    preserved by slicing (the parent is already sorted), hence the slice
-    *is* the subset's canonical array content.
-    """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
-    parent_key = parent.energy_signature()
-    key = parent_key[start:stop]
-    if key in _ARRAYS_CACHE:
-        _ARRAYS_CACHE.move_to_end(key)
-        return
-    pa = block_arrays(parent)
-    workloads = pa.workloads[start:stop]
-    prefix = np.empty(stop - start + 1, dtype=np.float64)
-    prefix[0] = 0.0
-    np.cumsum(workloads, out=prefix[1:])
-    arrays = BlockArrays(
-        releases=pa.releases[start:stop],
-        deadlines=pa.deadlines[start:stop],
-        workloads=workloads,
-        workload_prefix=_freeze(prefix),
-    )
-    _cache_put(key, arrays)
 
 
 def prefetch_block_arrays(task_sets: Sequence[TaskSet]) -> int:
@@ -354,8 +328,10 @@ def prefetch_block_arrays(task_sets: Sequence[TaskSet]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def critical_speeds(arrays: BlockArrays, platform: Platform) -> "np.ndarray":
-    """Task-clamped critical speeds ``s_0`` as an ``(n,)`` vector.
+def critical_speeds(
+    arrays: "BlockArrays | BlockRows", platform: Platform
+) -> "np.ndarray":
+    """Task-clamped critical speeds ``s_0``, shaped like ``arrays.workloads``.
 
     Mirrors :meth:`repro.models.power.CorePowerModel.s0`:
     ``min(max(s_m, filled_speed), s_up)`` per task.
@@ -365,50 +341,112 @@ def critical_speeds(arrays: BlockArrays, platform: Platform) -> "np.ndarray":
     return np.minimum(np.maximum(core.s_m, filled), core.s_up)
 
 
-def block_energy_batch(
-    tasks: TaskSet,
+@dataclass(frozen=True)
+class BlockRows:
+    """G consecutive blocks of one width ``m``, stacked as ``(G, m)`` rows.
+
+    Row ``g`` holds one block's deadline-ordered releases / deadlines /
+    workloads.  Every row has the same width, so a row reduction visits
+    the same ``m`` values in the same order whether the row is priced
+    alone or stacked with others: the row kernels below return the same
+    floats for a row at any ``G``.  ``tasks`` is set on the one-row stack
+    of a whole task set (:func:`block_rows`) so the ``jit`` backend can
+    price it with the compiled kernel.
+    """
+
+    releases: "np.ndarray"
+    deadlines: "np.ndarray"
+    workloads: "np.ndarray"
+    tasks: Optional[TaskSet] = None
+
+
+def block_rows(tasks: TaskSet) -> BlockRows:
+    """A task set as a one-row :class:`BlockRows` (views of its arrays)."""
+    arr = block_arrays(tasks)
+    return BlockRows(
+        releases=arr.releases[None, :],
+        deadlines=arr.deadlines[None, :],
+        workloads=arr.workloads[None, :],
+        tasks=tasks,
+    )
+
+
+def _best_response_rows(
+    rows: BlockRows,
     platform: Platform,
+    row_of: Optional["np.ndarray"],
+    s: "np.ndarray",
+    e: "np.ndarray",
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+    """Every task's window and energy-minimal duration at K busy intervals.
+
+    Candidate ``k`` places row ``row_of[k]`` of ``rows`` in ``[s[k], e[k]]``.
+    Returns ``(lo, window, workloads, min_duration, duration)``, each of
+    shape ``(K, m)``; a one-row stack ignores ``row_of`` (it may be
+    ``None``) and broadcasts its task arrays as ``(1, m)``.  Type-II /
+    stretched tasks fill their window, Type-I tasks (``alpha != 0`` with
+    slack) run for ``w / s_0``.
+    """
+    core = platform.core
+    releases, deadlines, workloads = rows.releases, rows.deadlines, rows.workloads
+    min_duration = workloads / core.s_up
+    preferred = None
+    if core.alpha != 0.0:
+        preferred = np.maximum(
+            workloads / critical_speeds(rows, platform), min_duration
+        )
+    if releases.shape[0] > 1:
+        releases, deadlines, workloads, min_duration = (
+            releases[row_of], deadlines[row_of], workloads[row_of],
+            min_duration[row_of],
+        )
+        if preferred is not None:
+            preferred = preferred[row_of]
+    lo = np.maximum(releases, s[:, None])
+    hi = np.minimum(deadlines, e[:, None])
+    window = hi - lo
+    eff_window = np.maximum(window, min_duration)
+    if preferred is None:
+        duration = eff_window
+    else:
+        duration = np.minimum(preferred, eff_window)
+    return lo, window, workloads, min_duration, duration
+
+
+def block_energy_rows(
+    rows: BlockRows,
+    platform: Platform,
+    row_of: Optional["np.ndarray"],
     starts: Sequence[float],
     ends: Sequence[float],
 ) -> "np.ndarray":
     """Block energies at K candidate busy intervals, as a ``(K,)`` vector.
 
-    Array transcription of ``repro.core.blocks._block_energy_uncached``
-    (same window clamps, same relative speed-cap tolerance, same graded
-    penalties), broadcasting a ``(K, n)`` window matrix instead of looping
-    tasks per candidate.  Under the ``jit`` backend the compiled scalar
-    transcription evaluates each candidate instead (bit-identical to the
-    scalar reference; callers still receive an ndarray).
+    Candidate ``k`` prices row ``row_of[k]`` of ``rows`` at
+    ``[starts[k], ends[k]]``.  Array transcription of
+    ``repro.core.blocks._block_energy_uncached`` (same window clamps, same
+    relative speed-cap tolerance, same graded penalties), broadcasting a
+    ``(K, m)`` window matrix instead of looping tasks per candidate.  Under
+    the ``jit`` backend a whole task set's row is priced by the compiled
+    scalar transcription instead (bit-identical to the scalar reference;
+    callers still receive an ndarray).
     """
-    if get_backend() == "jit":
+    if rows.tasks is not None and get_backend() == "jit":
         from repro.core import kernels
 
-        values = kernels.block_energy_batch(tasks, platform, starts, ends)
+        values = kernels.block_energy_batch(rows.tasks, platform, starts, ends)
         return np.asarray(values, dtype=np.float64)
-    arr = block_arrays(tasks)
     core = platform.core
     s = np.asarray(starts, dtype=np.float64)
     e = np.asarray(ends, dtype=np.float64)
-    lo = np.maximum(arr.releases[None, :], s[:, None])
-    hi = np.minimum(arr.deadlines[None, :], e[:, None])
-    window = hi - lo
-    min_duration = arr.workloads / core.s_up
-    infeasible = window < min_duration[None, :] * (1.0 - 1e-12) - 1e-12
-    violation = np.where(infeasible, min_duration[None, :] - window, 0.0).sum(
-        axis=1
+    _, window, workloads, min_duration, duration = _best_response_rows(
+        rows, platform, row_of, s, e
     )
-    eff_window = np.maximum(window, min_duration[None, :])
-    if core.alpha == 0.0:
-        duration = eff_window
-    else:
-        s0 = critical_speeds(arr, platform)
-        preferred = np.maximum(arr.workloads / s0, min_duration)
-        duration = np.minimum(preferred[None, :], eff_window)
+    infeasible = window < min_duration * (1.0 - 1e-12) - 1e-12
+    violation = np.where(infeasible, min_duration - window, 0.0).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        speed = arr.workloads[None, :] / duration
-        terms = (core.alpha + core.beta * speed ** core.lam) * arr.workloads[
-            None, :
-        ] / speed
+        speed = workloads / duration
+        terms = (core.alpha + core.beta * speed ** core.lam) * workloads / speed
         # Infeasible tasks contribute penalty, not energy; zero their terms
         # so the row sum stays finite wherever the candidate is feasible.
         terms = np.where(infeasible, 0.0, terms)
@@ -417,28 +455,48 @@ def block_energy_batch(
     return np.where(e <= s, _PENALTY * (1.0 + (s - e)), total)
 
 
+def block_energy_batch(
+    tasks: TaskSet,
+    platform: Platform,
+    starts: Sequence[float],
+    ends: Sequence[float],
+) -> "np.ndarray":
+    """Block energies of one task set at K candidate busy intervals
+    (:func:`block_energy_rows` over its one-row stack)."""
+    return block_energy_rows(block_rows(tasks), platform, None, starts, ends)
+
+
+def placement_rows(
+    rows: BlockRows,
+    platform: Platform,
+    row_of: Optional["np.ndarray"],
+    starts: Sequence[float],
+    ends: Sequence[float],
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """Per-task ``(start, duration, speed)`` matrices at K busy intervals.
+
+    Array transcription of ``repro.core.blocks._placements_at`` over the
+    same rows kernel as :func:`block_energy_rows`.
+    """
+    lo, _, workloads, _, duration = _best_response_rows(
+        rows,
+        platform,
+        row_of,
+        np.asarray(starts, dtype=np.float64),
+        np.asarray(ends, dtype=np.float64),
+    )
+    return lo, duration, workloads / duration
+
+
 def placement_arrays(
     tasks: TaskSet, platform: Platform, start: float, end: float
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Per-task ``(start, duration, speed)`` vectors for one busy interval.
-
-    Array transcription of ``repro.core.blocks._placements_at``: Type-II /
-    stretched tasks fill their window, Type-I tasks run at critical speed
-    from the window start.
-    """
-    arr = block_arrays(tasks)
-    core = platform.core
-    lo = np.maximum(arr.releases, start)
-    hi = np.minimum(arr.deadlines, end)
-    min_duration = arr.workloads / core.s_up
-    eff_window = np.maximum(hi - lo, min_duration)
-    if core.alpha == 0.0:
-        duration = eff_window
-    else:
-        s0 = critical_speeds(arr, platform)
-        preferred = np.maximum(arr.workloads / s0, min_duration)
-        duration = np.minimum(preferred, eff_window)
-    return lo, duration, arr.workloads / duration
+    """Per-task ``(start, duration, speed)`` vectors for one busy interval
+    (:func:`placement_rows` over the set's one-row stack)."""
+    lo, duration, speed = placement_rows(
+        block_rows(tasks), platform, None, (start,), (end,)
+    )
+    return lo[0], duration[0], speed[0]
 
 
 # ---------------------------------------------------------------------------
