@@ -51,7 +51,10 @@ __all__ = [
 #: v2: the batched fast path re-associates numpy-backend float sums
 #: (~1e-15 relative vs v1); scalar-backend outputs are unchanged, but the
 #: salt is shared so both backends' caches roll together.
-CODE_SALT = "sdem-experiments-v2"
+#: v3: the fptas tier's block descent also searches both diagonals and
+#: keeps its grid pitch at δ·L_min, which lowers fptas energies; exact
+#: outputs are unchanged.
+CODE_SALT = "sdem-experiments-v3"
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -23,6 +23,7 @@ from repro.core.fptas import (
     set_solver_tier,
     solve_agreeable_fptas,
     solve_agreeable_fptas_columns,
+    _price_block_discrete,
     solve_common_release_fptas,
     solver_cache_component,
 )
@@ -285,6 +286,22 @@ class TestFixedInstanceBounds:
         tiered = solve_agreeable_fptas(AGREEABLE, platform)
         explicit = solve_agreeable_fptas(AGREEABLE, platform, epsilon=0.5)
         assert tiered.predicted_energy == explicit.predicted_energy
+
+    def test_grid_pitch_kept_on_long_spans(self):
+        # 10^8 grid points per axis: only the snap's neighborhood is
+        # priced, so the pitch must stay put rather than widen to fit a cap.
+        step = 1e-6
+        s_opt, e_opt = 3.3001234, 77.7005678
+        priced = _price_block_discrete(
+            lambda s, e: 1.0 + (s - s_opt) ** 2 + (e - e_opt) ** 2,
+            0.0,
+            100.0,
+            step,
+        )
+        assert priced is not None
+        _energy, start, end = priced
+        assert s_opt - 2 * step <= start <= s_opt
+        assert e_opt <= end <= e_opt + 2 * step
 
     def test_non_agreeable_rejected(self):
         platform = make_platform()
