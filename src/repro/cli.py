@@ -492,7 +492,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shed_threshold=args.shed_threshold,
         batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
-        workers=args.workers,
         shards=args.shards,
         cache=cache,
     )
@@ -882,11 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests per micro-batch",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=1, help="solver worker threads"
-    )
-    p_serve.add_argument(
         "--shards", type=int, default=0,
-        help="worker-pool shards (0 = inline batcher tier; N>0 routes by "
+        help="worker-pool shards (0 = in-process solve thread; N>0 routes by "
         "platform fingerprint to N pinned worker processes)",
     )
     p_serve.add_argument(
@@ -928,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="demo local-server queue bound (and audit threshold)")
     p_submit.add_argument("--shards", type=int, default=0,
                           help="demo local-server worker-pool shards "
-                          "(0 = inline batcher tier)")
+                          "(0 = inline tier)")
     p_submit.add_argument(
         "--no-verify", action="store_true", dest="no_verify",
         help="demo: skip the byte-identity check against direct solver calls",

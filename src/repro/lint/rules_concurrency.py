@@ -1,8 +1,8 @@
 """Concurrency rules (CON0xx): the solve service's locking discipline.
 
 ``repro.service`` mixes three execution domains -- the asyncio event
-loop, the batcher's worker threads and the admission queue shared between
-them (PR 3).  The rules pin the discipline that keeps it deadlock- and
+loop, the in-process solve thread and the admission queue shared between
+them.  The rules pin the discipline that keeps it deadlock- and
 race-free:
 
 * ``CON001`` -- every function must acquire locks in one global order;
@@ -61,7 +61,8 @@ def lock_label(node: ast.AST, module: SourceModule) -> Optional[str]:
 
     ``self._lock`` inside class ``AdmissionQueue`` labels as
     ``repro.service.queue.AdmissionQueue._lock``; a module-global
-    ``_backend_lock`` as ``repro.service.batcher._backend_lock``.
+    ``_cache_lock`` in ``repro.service.shard`` as
+    ``repro.service.shard._cache_lock``.
     Non-lock-ish expressions return ``None``.
     """
     parts: List[str] = []

@@ -5,13 +5,18 @@ schemes, the Section 5 agreeable DP, the SDEM-ON engine and the
 MBKP/MBKPS/AVR/race baselines) is reachable here through one versioned
 JSON-lines wire protocol, served by an asyncio TCP/stdio server with:
 
-* **admission control** -- a bounded queue with priority lanes
-  (interactive vs. sweep), per-request deadlines and HTTP-429-style
-  backpressure (:mod:`repro.service.queue`);
+* **admission control** -- a bounded queue with one shard per executor,
+  priority lanes (interactive vs. sweep), per-request deadlines and
+  HTTP-429-style backpressure (:mod:`repro.service.queue`);
 * **micro-batching** -- compatible requests (same platform + numeric
   backend) coalesce into one dispatch that prefetches the vectorized
   core's arrays and reuses the experiment engine's on-disk result cache
   (:mod:`repro.service.batcher`);
+* **one executor interface, two tiers** -- every batch goes through
+  :class:`~repro.service.batcher.Executor`: the in-process
+  :class:`~repro.service.batcher.InlineExecutor` (``--shards 0``) or one
+  :class:`~repro.service.shard.ShardWorker` process per shard, replaced
+  when it dies (:mod:`repro.service.shard`);
 * **telemetry** -- counters / gauges / histograms rendered as a
   Prometheus-style text page and a JSON snapshot
   (:mod:`repro.service.metrics`);
@@ -35,7 +40,7 @@ from repro.service.protocol import (
     resolve_scheme,
 )
 from repro.service.queue import AdmissionQueue, QueueEntry
-from repro.service.batcher import Batcher, form_batches
+from repro.service.batcher import Executor, InlineExecutor, form_batches
 from repro.service.metrics import MetricsRegistry
 from repro.service.server import SolveService
 from repro.service.client import ServiceClient, run_demo
@@ -51,7 +56,8 @@ __all__ = [
     "resolve_scheme",
     "AdmissionQueue",
     "QueueEntry",
-    "Batcher",
+    "Executor",
+    "InlineExecutor",
     "form_batches",
     "MetricsRegistry",
     "SolveService",

@@ -1,9 +1,10 @@
-"""Micro-batching dispatcher: coalesce compatible solves, reuse the cache.
+"""Micro-batching: coalesce compatible solves, run them, reuse the cache.
 
-Requests popped from the admission queue are grouped into *micro-batches*
-of compatible requests -- same platform fingerprint, same numeric backend
--- in arrival order.  One batch is one dispatch to the persistent worker
-pool, where it:
+Requests popped from one admission shard are grouped into *micro-batches*
+of compatible requests -- same platform fingerprint, same numeric
+backend, same solver tier -- in arrival order.  One batch is one
+:meth:`Executor.submit`; both service tiers then run the same
+:func:`execute_batch_requests` core, which
 
 1. prices every request against the experiment engine's on-disk
    :class:`~repro.experiments.cache.ResultCache` (keys from
@@ -18,22 +19,18 @@ Oversized compatibility groups are split with the experiment engine's
 :func:`repro.experiments.parallel.chunk_evenly`, the same granularity rule
 the experiment engine's process pool uses.
 
-Backend pinning: the numeric backend is process-wide state
-(:func:`repro.core.vectorized.set_backend`), so a batch that needs a
-backend other than the process default takes an *exclusive* lock while
-default-backend batches run under a shared lock.  With the default
-single-worker pool (solver work is GIL-bound; extra threads buy nothing)
-the lock never contends, but it keeps multi-worker configurations
-byte-deterministic too.
+A request without an explicit ``numeric`` solves under the service's
+default backend, which the caller fixes once and passes in: batching
+never reads the process-wide backend, which a running batch may have
+pinned to something else.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core import vectorized
 from repro.experiments.cache import (
@@ -43,28 +40,26 @@ from repro.experiments.cache import (
 )
 from repro.experiments.parallel import chunk_evenly
 from repro.service import protocol
-from repro.service.metrics import (
-    MetricsRegistry,
-    scheme_energy_counter,
-    service_metrics,
-)
+from repro.service.metrics import MetricsRegistry, scheme_energy_counter
 from repro.service.queue import QueueEntry
 
 __all__ = [
-    "Batcher",
+    "Executor",
+    "InlineExecutor",
     "batch_key",
     "execute_batch_requests",
     "finalize_outcomes",
     "form_batches",
+    "resolve_numeric",
 ]
 
 
-def resolve_numeric(request: protocol.SolveRequest) -> str:
+def resolve_numeric(request: protocol.SolveRequest, default: str) -> str:
     """The backend this request will be solved under."""
-    return request.numeric if request.numeric is not None else vectorized.get_backend()
+    return request.numeric if request.numeric is not None else default
 
 
-def batch_key(request: protocol.SolveRequest) -> str:
+def batch_key(request: protocol.SolveRequest, default: str) -> str:
     """Compatibility key: requests sharing it may coalesce into one batch.
 
     The solver tier (and its ε) is part of the key so batches stay
@@ -73,7 +68,7 @@ def batch_key(request: protocol.SolveRequest) -> str:
     """
     payload = {
         "platform": platform_fingerprint(request.platform),
-        "numeric": resolve_numeric(request),
+        "numeric": resolve_numeric(request, default),
         "solver": request.solver,
     }
     if request.solver == "fptas":
@@ -82,9 +77,11 @@ def batch_key(request: protocol.SolveRequest) -> str:
 
 
 def form_batches(
-    entries: Sequence[QueueEntry], max_batch: int
+    entries: Sequence[QueueEntry], max_batch: int, default: str
 ) -> List[List[QueueEntry]]:
     """Group entries into compatible micro-batches, preserving arrival order.
+
+    ``default`` is the backend of requests that name none.
 
     Groups larger than ``max_batch`` are split into evenly sized chunks
     (two batches of 25 beat 32 + 18 for tail latency).
@@ -94,7 +91,7 @@ def form_batches(
     groups: Dict[str, List[QueueEntry]] = {}
     order: List[str] = []
     for entry in entries:
-        key = batch_key(entry.request)
+        key = batch_key(entry.request, default)
         if key not in groups:
             groups[key] = []
             order.append(key)
@@ -110,83 +107,18 @@ def form_batches(
     return batches
 
 
-# ---------------------------------------------------------------------------
-# Backend pinning: shared/exclusive lock around process-wide backend state
-# ---------------------------------------------------------------------------
-
-
-class _ReadWriteLock:
-    """Many default-backend batches, or one backend-switching batch."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-
-    def acquire_shared(self) -> None:
-        with self._cond:
-            while self._writer:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_shared(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_exclusive(self) -> None:
-        with self._cond:
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writer = True
-
-    def release_exclusive(self) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-
-_backend_lock = _ReadWriteLock()
-
-
-def _with_backend(backend: str, fn: Callable[[], object]):
-    """Run ``fn`` with the process numeric backend pinned to ``backend``."""
-    _backend_lock.acquire_shared()
-    try:
-        if vectorized.get_backend() == backend:
-            return fn()
-    finally:
-        _backend_lock.release_shared()
-    _backend_lock.acquire_exclusive()
-    try:
-        previous = vectorized.get_backend_override()
-        vectorized.set_backend(backend)
-        try:
-            return fn()
-        finally:
-            vectorized.set_backend(previous)
-    finally:
-        _backend_lock.release_exclusive()
-
-
-# ---------------------------------------------------------------------------
-# Batch execution core (shared with the sharded worker tier)
-# ---------------------------------------------------------------------------
-
-
 def execute_batch_requests(
     requests: Sequence[protocol.SolveRequest],
     cache: Optional[ResultCache],
     backend: str,
 ) -> List[Dict[str, object]]:
-    """Price, prefetch and solve one compatible batch.
+    """Price, prefetch and solve one compatible batch under ``backend``.
 
-    The deterministic core shared by the in-process :class:`Batcher` and
-    the sharded worker tier (:mod:`repro.service.shard`), which is what
-    makes the 1-shard/N-shard byte-identity contract hold by
-    construction.  The caller must have pinned the numeric backend
-    process-wide; ``backend`` here only scopes the cache keys.
+    The deterministic core both executors run (the in-process solve
+    thread and every shard worker process), which is what makes the
+    0/1/N-shard byte-identity contract hold by construction.  The
+    process numeric backend is pinned to ``backend`` for the batch and
+    restored afterwards; ``backend`` also scopes the cache keys.
 
     Returns one outcome dict per request, in order: either
     ``{"ok": True, "result", "scheme", "cache", "solve_ms"}`` or
@@ -194,6 +126,36 @@ def execute_batch_requests(
     data so they can cross a process boundary; the caller turns them into
     wire responses and metrics on its side.
     """
+    # Only numpy is refused here: set_backend('jit') resolves through the
+    # kernels loader and degrades to numpy/scalar with one structured
+    # warning when no provider compiles, so jit requests stay servable on
+    # any host (provenance still reports the requested backend; cache
+    # keys stay 'jit'-scoped).
+    if backend == "numpy" and not vectorized.HAS_NUMPY:
+        message = (
+            "numeric backend 'numpy' requested but numpy is not installed "
+            "on this server"
+        )
+        return [
+            {"ok": False, "code": protocol.E_BAD_REQUEST, "message": message}
+            for _ in requests
+        ]
+    previous = vectorized.get_backend_override()
+    switch = vectorized.get_backend() != backend
+    if switch:
+        vectorized.set_backend(backend)
+    try:
+        return _solve_batch(requests, cache, backend)
+    finally:
+        if switch:
+            vectorized.set_backend(previous)
+
+
+def _solve_batch(
+    requests: Sequence[protocol.SolveRequest],
+    cache: Optional[ResultCache],
+    backend: str,
+) -> List[Dict[str, object]]:
     # Resolve schemes and price the cache for the whole batch first...
     plans: List[object] = []
     misses: List[protocol.SolveRequest] = []
@@ -280,10 +242,10 @@ def finalize_outcomes(
 ) -> List[Tuple[QueueEntry, Dict[str, object]]]:
     """Turn outcome dicts into wire responses, recording per-request metrics.
 
-    Shared by the in-process batcher and the shard tier's parent side, so
-    response envelopes and the metrics they feed cannot drift between the
-    two execution paths.  ``provenance_extra`` is merged into each ok
-    response's provenance (the shard tier stamps its shard index there).
+    The one place both tiers build response envelopes and the metrics they
+    feed.  ``provenance_extra`` is merged into each ok response's
+    provenance (the shard tier stamps its shard index there).  An error
+    outcome may carry ``retry_after_ms`` and ``shard`` for its envelope.
     """
     out: List[Tuple[QueueEntry, Dict[str, object]]] = []
     for entry, outcome, wait_ms in zip(entries, outcomes, waits_ms):
@@ -295,7 +257,11 @@ def finalize_outcomes(
                 (
                     entry,
                     protocol.error_response(
-                        request.id, str(outcome["code"]), str(outcome["message"])
+                        request.id,
+                        str(outcome["code"]),
+                        str(outcome["message"]),
+                        outcome.get("retry_after_ms"),
+                        shard=outcome.get("shard"),
                     ),
                 )
             )
@@ -333,96 +299,59 @@ def finalize_outcomes(
     return out
 
 
+
+
 # ---------------------------------------------------------------------------
-# The dispatcher
+# Executors: what a dispatch loop hands its batches to
 # ---------------------------------------------------------------------------
 
 
-class Batcher:
-    """Executes micro-batches on a persistent worker pool.
+class Executor(Protocol):
+    """One dispatch loop's batch runner; both service tiers implement it.
 
-    ``cache=None`` disables result caching (provenance reports ``"off"``).
-    The pool is created once and survives for the service's lifetime;
-    :meth:`shutdown` drains it.
+    ``submit`` resolves to one outcome dict per request (see
+    :func:`execute_batch_requests`); ``provenance`` is merged into every
+    ok response's provenance; ``memo_stats`` is flushed into
+    ``repro_shard_<key>{shard=...}`` gauges at drain.
     """
 
-    def __init__(
-        self,
-        cache: Optional[ResultCache] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        *,
-        workers: int = 1,
-        max_batch: int = 32,
-    ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+    provenance: Dict[str, object]
+
+    def submit(
+        self, requests: Sequence[protocol.SolveRequest], backend: str
+    ) -> "Future[List[Dict[str, object]]]": ...
+
+    def memo_stats(self) -> Dict[str, float]: ...
+
+    def shutdown(self, wait: bool = True) -> None: ...
+
+
+class InlineExecutor:
+    """The in-process executor behind ``--shards 0``: one solve thread.
+
+    Solver work is GIL-bound, so a second thread would buy nothing; one
+    thread also means no two batches ever share the process backend pin.
+    ``cache=None`` disables result caching (provenance reports ``"off"``).
+    """
+
+    def __init__(self, cache: Optional[ResultCache] = None):
         self.cache = cache
-        self.metrics = metrics if metrics is not None else service_metrics()
-        self.max_batch = max_batch
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-solve"
+        #: Inline responses carry no ``shard`` stamp.
+        self.provenance: Dict[str, object] = {}
+        self._thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-solve"
         )
-        self.dispatches = 0
 
-    # -- pool plumbing -------------------------------------------------------
+    def submit(
+        self, requests: Sequence[protocol.SolveRequest], backend: str
+    ) -> "Future[List[Dict[str, object]]]":
+        return self._thread.submit(
+            execute_batch_requests, list(requests), self.cache, backend
+        )
 
-    def submit_batch(self, entries: List[QueueEntry]) -> "Future":
-        """Dispatch one formed batch; resolves to ``[(entry, response), ...]``."""
-        self.dispatches += 1
-        return self._pool.submit(self.run_batch, entries)
+    def memo_stats(self) -> Dict[str, float]:
+        """Nothing to flush: per-shard memo gauges belong to the shard tier."""
+        return {}
 
     def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait)
-
-    # -- batch execution (runs on a pool thread) -----------------------------
-
-    def run_batch(
-        self, entries: List[QueueEntry]
-    ) -> List[Tuple[QueueEntry, Dict[str, object]]]:
-        if not entries:
-            return []
-        backend = resolve_numeric(entries[0].request)
-        metrics = self.metrics
-        metrics.counter("repro_batches_total").inc()
-        metrics.histogram("repro_batch_size").observe(len(entries))
-        if len(entries) > 1:
-            metrics.counter("repro_batched_requests_total").inc(len(entries))
-        # 'jit' deliberately has no such hard error: set_backend('jit')
-        # resolves through the kernels loader and degrades to numpy/scalar
-        # with one structured warning when no provider compiles, so jit
-        # requests stay servable on any host (response provenance still
-        # reports the requested backend; cache keys stay 'jit'-scoped and
-        # consistent process-wide).
-        if backend == "numpy" and not vectorized.HAS_NUMPY:
-            return [
-                (
-                    entry,
-                    protocol.error_response(
-                        entry.request.id,
-                        protocol.E_BAD_REQUEST,
-                        "numeric backend 'numpy' requested but numpy is not "
-                        "installed on this server",
-                    ),
-                )
-                for entry in entries
-            ]
-        return _with_backend(backend, lambda: self._run_pinned(entries, backend))
-
-    def _run_pinned(
-        self, entries: List[QueueEntry], backend: str
-    ) -> List[Tuple[QueueEntry, Dict[str, object]]]:
-        metrics = self.metrics
-        inflight = metrics.gauge("repro_inflight")
-        inflight.inc(len(entries))
-        try:
-            dispatched = time.monotonic()
-            waits_ms = [
-                max(0.0, (dispatched - entry.enqueued_at) * 1000.0)
-                for entry in entries
-            ]
-            outcomes = execute_batch_requests(
-                [entry.request for entry in entries], self.cache, backend
-            )
-            return finalize_outcomes(entries, outcomes, waits_ms, backend, metrics)
-        finally:
-            inflight.dec(len(entries))
+        self._thread.shutdown(wait=wait)

@@ -4,26 +4,32 @@ Admission control is the service's first line of defence: a request is
 either **admitted** -- at which point it is guaranteed a terminal response
 (result, deadline expiry or cancellation) -- or **rejected at the door**
 with an HTTP-429-style error carrying ``retry_after_ms``.  A rejected
-request is *never partially executed*: it never reaches the batcher, the
-worker pool or the result cache (the saturation property tests pin this).
+request is *never partially executed*: it never reaches an executor or
+the result cache (the saturation property tests pin this).
 
-Two lanes with strict priority:
+The queue holds one bounded sub-queue per executor (*shard*), each with
+two lanes of strict priority:
 
 * ``interactive`` -- latency-sensitive one-off solves; always admitted
   while there is any capacity left;
 * ``sweep`` -- bulk experiment traffic; first to go when the service
   degrades.
 
-Degradation policy: when the queue depth reaches
-``ceil(shed_threshold * capacity)`` the queue enters *degraded mode* and
-sheds sweep-lane arrivals (code ``SHEDDING``) while still admitting
-interactive ones; at full capacity everything is rejected
-(``QUEUE_FULL``).  Degraded mode clears when depth falls back under the
-threshold.  ``retry_after_ms`` scales linearly with occupancy so clients
-back off harder the fuller the queue is.
+A ``router`` maps each request to its shard (the sharded tier passes the
+consistent-hash ring's lookup).  The inline tier is the one-shard queue
+with no router; its admissions carry no shard index, so its error
+envelopes stay free of a ``shard`` key.
+
+Degradation policy, per shard: when a shard's depth reaches
+``ceil(shed_threshold * seats)`` it sheds sweep-lane arrivals (code
+``SHEDDING``) while still admitting interactive ones; at full seats
+everything routed there is rejected (``QUEUE_FULL``).  One platform's
+burst therefore degrades only the shard it hashes to.
+``retry_after_ms`` scales linearly with the shard's occupancy so clients
+back off harder the fuller it is.
 
 The queue is thread-safe but non-blocking: the asyncio server polls it
-via an event, worker threads never touch it.  The clock is injectable so
+via an event, executors never touch it.  The clock is injectable so
 deadline semantics are testable without sleeping.
 """
 
@@ -32,7 +38,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service.protocol import (
@@ -47,7 +53,6 @@ __all__ = [
     "AdmitResult",
     "QueueEntry",
     "AdmissionQueue",
-    "ShardedAdmissionQueue",
     "split_capacity",
 ]
 
@@ -63,8 +68,6 @@ class QueueEntry:
     #: Free slot for the transport layer (the server parks the asyncio
     #: future that resolves into the client's response here).
     context: object = None
-    #: Shard that owns this entry (``None`` under the inline batcher).
-    shard: Optional[int] = None
 
     @property
     def lane(self) -> str:
@@ -84,174 +87,9 @@ class AdmitResult:
     message: Optional[str] = None
     retry_after_ms: Optional[float] = None
     #: Shard that admitted or rejected the request (``None`` when the
-    #: service runs without shards).  Rejections carry it into the error
-    #: envelope so a client can see *which* shard shed it.
+    #: queue has no router).  Rejections carry it into the error envelope
+    #: so a client can see *which* shard shed it.
     shard: Optional[int] = None
-
-
-class AdmissionQueue:
-    """Bounded two-lane FIFO with strict interactive-over-sweep priority."""
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        *,
-        shed_threshold: float = 0.8,
-        base_retry_after_ms: float = 250.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not (0.0 < shed_threshold <= 1.0):
-            raise ValueError(
-                f"shed_threshold must be in (0, 1], got {shed_threshold}"
-            )
-        self.capacity = capacity
-        self.shed_at = max(1, math.ceil(shed_threshold * capacity))
-        self.base_retry_after_ms = base_retry_after_ms
-        self._clock = clock
-        self._lanes: Dict[str, List[QueueEntry]] = {
-            LANE_INTERACTIVE: [],
-            LANE_SWEEP: [],
-        }
-        self._lock = threading.Lock()
-        self._depth_peak = 0
-        #: Called (outside the lock) after every successful offer; the
-        #: server uses it to wake the dispatch loop.
-        self.on_enqueue: Optional[Callable[[], None]] = None
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        with self._lock:
-            return self._depth_locked()
-
-    def _depth_locked(self) -> int:
-        return sum(len(lane) for lane in self._lanes.values())
-
-    @property
-    def depth_peak(self) -> int:
-        """High-water mark: the saturation tests assert ``<= capacity``."""
-        with self._lock:
-            return self._depth_peak
-
-    def lane_depths(self) -> Dict[str, int]:
-        with self._lock:
-            return {name: len(lane) for name, lane in self._lanes.items()}
-
-    @property
-    def degraded(self) -> bool:
-        """True while sweep-lane shedding is active."""
-        with self._lock:
-            return self._depth_locked() >= self.shed_at
-
-    def _retry_after_ms(self, depth: int) -> float:
-        """Back off proportionally to occupancy (full queue => 2x base)."""
-        return self.base_retry_after_ms * (1.0 + depth / self.capacity)
-
-    # -- admission ----------------------------------------------------------
-
-    def offer(self, request: SolveRequest) -> AdmitResult:
-        """Admit ``request`` or reject it with a backpressure error.
-
-        The capacity invariant is enforced here and only here: the queue
-        can never hold more than ``capacity`` entries, so an admitted
-        request always has a seat and a rejected one leaves no trace.
-        """
-        now = self._clock()
-        with self._lock:
-            depth = self._depth_locked()
-            if depth >= self.capacity:
-                return AdmitResult(
-                    admitted=False,
-                    code=E_QUEUE_FULL,
-                    message=(
-                        f"admission queue full ({depth}/{self.capacity}); "
-                        "retry after the indicated backoff"
-                    ),
-                    retry_after_ms=self._retry_after_ms(depth),
-                )
-            if depth >= self.shed_at and request.lane == LANE_SWEEP:
-                return AdmitResult(
-                    admitted=False,
-                    code=E_SHEDDING,
-                    message=(
-                        f"degraded mode: queue at {depth}/{self.capacity} "
-                        f"(shed threshold {self.shed_at}); sweep-lane load "
-                        "is being shed, interactive requests still admitted"
-                    ),
-                    retry_after_ms=self._retry_after_ms(depth),
-                )
-            expires_at = (
-                now + request.timeout_ms / 1000.0
-                if request.timeout_ms is not None
-                else None
-            )
-            entry = QueueEntry(request=request, enqueued_at=now, expires_at=expires_at)
-            self._lanes[request.lane].append(entry)
-            self._depth_peak = max(self._depth_peak, self._depth_locked())
-        if self.on_enqueue is not None:
-            self.on_enqueue()
-        return AdmitResult(admitted=True, entry=entry)
-
-    # -- dispatch -----------------------------------------------------------
-
-    def pop_batch(
-        self, max_items: int
-    ) -> Tuple[List[QueueEntry], List[QueueEntry], List[QueueEntry]]:
-        """Dequeue up to ``max_items`` live entries.
-
-        Returns ``(ready, expired, cancelled)``.  Interactive entries
-        dequeue before any sweep entry; FIFO within a lane.  Expired and
-        cancelled entries are drained eagerly (they never count against
-        ``max_items``) so a stale backlog cannot starve live work.
-        """
-        now = self._clock()
-        ready: List[QueueEntry] = []
-        expired: List[QueueEntry] = []
-        cancelled: List[QueueEntry] = []
-        with self._lock:
-            for lane in (LANE_INTERACTIVE, LANE_SWEEP):
-                keep: List[QueueEntry] = []
-                for entry in self._lanes[lane]:
-                    if entry.cancelled:
-                        cancelled.append(entry)
-                    elif entry.expired(now):
-                        expired.append(entry)
-                    elif len(ready) < max_items:
-                        ready.append(entry)
-                    else:
-                        keep.append(entry)
-                self._lanes[lane] = keep
-        return ready, expired, cancelled
-
-    def cancel(self, request_id: str) -> bool:
-        """Mark a pending request cancelled; True when it was still queued."""
-        with self._lock:
-            for lane in self._lanes.values():
-                for entry in lane:
-                    if entry.request.id == request_id and not entry.cancelled:
-                        entry.cancelled = True
-                        return True
-        return False
-
-    def drain(self) -> List[QueueEntry]:
-        """Remove and return every queued entry (graceful shutdown)."""
-        with self._lock:
-            remaining = [
-                entry
-                for lane in (LANE_INTERACTIVE, LANE_SWEEP)
-                for entry in self._lanes[lane]
-            ]
-            for lane in self._lanes.values():
-                lane.clear()
-        return remaining
-
-
-# ---------------------------------------------------------------------------
-# Sharded admission: per-shard lanes behind one front door
-# ---------------------------------------------------------------------------
 
 
 def split_capacity(capacity: int, shards: int) -> List[int]:
@@ -259,7 +97,7 @@ def split_capacity(capacity: int, shards: int) -> List[int]:
 
     The first ``capacity % shards`` shards take the remainder seat, so the
     per-shard bounds always sum to the configured total -- the aggregate
-    ``depth_peak <= capacity`` audit survives sharding unchanged.
+    ``depth_peak <= capacity`` audit holds for any shard count.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -272,115 +110,192 @@ def split_capacity(capacity: int, shards: int) -> List[int]:
     return [base + (1 if index < extra else 0) for index in range(shards)]
 
 
-class ShardedAdmissionQueue:
-    """N per-shard :class:`AdmissionQueue` lanes behind one ``offer``.
-
-    ``router`` maps a request to its shard index (the service passes the
-    consistent-hash ring's lookup keyed on the platform fingerprint).
-    Each shard keeps the full two-lane shed/retry_after semantics over
-    its *own* slice of the capacity: one platform's burst degrades and
-    then fills only the shard it hashes to, while the other shards keep
-    admitting both lanes.  Rejections are stamped with the shard index so
-    the error envelope can surface which shard shed.
-    """
+class AdmissionQueue:
+    """Per-shard bounded two-lane FIFOs behind one ``offer``."""
 
     def __init__(
         self,
-        shards: int,
-        router: Callable[[SolveRequest], int],
         capacity: int = 256,
         *,
+        shards: int = 1,
+        router: Optional[Callable[[SolveRequest], int]] = None,
         shed_threshold: float = 0.8,
         base_retry_after_ms: float = 250.0,
         clock: Callable[[], float] = time.monotonic,
     ):
-        seats = split_capacity(capacity, shards)
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if not (0.0 < shed_threshold <= 1.0):
+            raise ValueError(
+                f"shed_threshold must be in (0, 1], got {shed_threshold}"
+            )
         self.capacity = capacity
         self.router = router
-        self.shards: List[AdmissionQueue] = [
-            AdmissionQueue(
-                seat_count,
-                shed_threshold=shed_threshold,
-                base_retry_after_ms=base_retry_after_ms,
-                clock=clock,
-            )
-            for seat_count in seats
+        #: Per-shard bounds; they sum to ``capacity``.
+        self.seats = split_capacity(capacity, shards)
+        #: Per-shard depth at which sweep-lane shedding starts.
+        self.shed_at = [max(1, math.ceil(shed_threshold * s)) for s in self.seats]
+        self.base_retry_after_ms = base_retry_after_ms
+        self._clock = clock
+        self._shards: List[Dict[str, List[QueueEntry]]] = [
+            {LANE_INTERACTIVE: [], LANE_SWEEP: []} for _ in self.seats
         ]
+        self._lock = threading.Lock()
         self._depth_peak = 0
-        #: Called (outside any lock) with the shard index after every
+        #: Called (outside the lock) with the shard index after every
         #: successful offer; the server wakes that shard's dispatch loop.
         self.on_enqueue: Optional[Callable[[int], None]] = None
-        for index, shard_queue in enumerate(self.shards):
-            shard_queue.on_enqueue = self._notifier(index)
-
-    def _notifier(self, index: int) -> Callable[[], None]:
-        def notify() -> None:
-            if self.on_enqueue is not None:
-                self.on_enqueue(index)
-
-        return notify
 
     # -- introspection ------------------------------------------------------
 
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
+    def _shard_depth_locked(self, shard: int) -> int:
+        return sum(len(lane) for lane in self._shards[shard].values())
+
+    def _depth_locked(self) -> int:
+        return sum(len(lane) for lanes in self._shards for lane in lanes.values())
 
     @property
     def depth(self) -> int:
-        return sum(shard.depth for shard in self.shards)
+        with self._lock:
+            return self._depth_locked()
 
     def shard_depth(self, shard: int) -> int:
-        return self.shards[shard].depth
-
-    def shard_depths(self) -> List[int]:
-        return [shard.depth for shard in self.shards]
+        with self._lock:
+            return self._shard_depth_locked(shard)
 
     @property
     def depth_peak(self) -> int:
-        """Aggregate high-water mark (offers run on the event-loop thread,
-        so the post-offer sample below never misses a concurrent admit)."""
-        return self._depth_peak
+        """Aggregate high-water mark: the saturation tests assert
+        ``<= capacity``."""
+        with self._lock:
+            return self._depth_peak
 
     def lane_depths(self) -> Dict[str, int]:
-        totals = {LANE_INTERACTIVE: 0, LANE_SWEEP: 0}
-        for shard in self.shards:
-            for lane, count in shard.lane_depths().items():
-                totals[lane] += count
-        return totals
+        """Queued entries per priority lane, summed over shards."""
+        with self._lock:
+            return {
+                lane: sum(len(shard[lane]) for shard in self._shards)
+                for lane in (LANE_INTERACTIVE, LANE_SWEEP)
+            }
 
     @property
     def degraded(self) -> bool:
         """True while *any* shard is shedding its sweep lane."""
-        return any(shard.degraded for shard in self.shards)
+        with self._lock:
+            return any(
+                self._shard_depth_locked(i) >= shed_at
+                for i, shed_at in enumerate(self.shed_at)
+            )
 
     # -- admission ----------------------------------------------------------
 
     def offer(self, request: SolveRequest) -> AdmitResult:
-        """Route ``request`` to its shard and delegate admission."""
-        shard = self.router(request)
-        if not 0 <= shard < len(self.shards):
+        """Admit ``request`` into its shard or reject it with backpressure.
+
+        The capacity invariant is enforced here and only here: a shard can
+        never hold more than its seats, so an admitted request always has
+        a seat and a rejected one leaves no trace.
+        """
+        shard = 0 if self.router is None else self.router(request)
+        if not 0 <= shard < len(self._shards):
             raise ValueError(
                 f"router returned shard {shard}, valid range is "
-                f"0..{len(self.shards) - 1}"
+                f"0..{len(self._shards) - 1}"
             )
-        result = self.shards[shard].offer(request)
-        if result.admitted:
-            assert result.entry is not None
-            result.entry.shard = shard
-            self._depth_peak = max(self._depth_peak, self.depth)
-        return replace(result, shard=shard)
+        label = None if self.router is None else shard
+        seats = self.seats[shard]
+        now = self._clock()
+        with self._lock:
+            depth = self._shard_depth_locked(shard)
+            retry_after_ms = self.base_retry_after_ms * (1.0 + depth / seats)
+            if depth >= seats:
+                return AdmitResult(
+                    admitted=False,
+                    code=E_QUEUE_FULL,
+                    message=(
+                        f"admission queue full ({depth}/{seats}); "
+                        "retry after the indicated backoff"
+                    ),
+                    retry_after_ms=retry_after_ms,
+                    shard=label,
+                )
+            if depth >= self.shed_at[shard] and request.lane == LANE_SWEEP:
+                return AdmitResult(
+                    admitted=False,
+                    code=E_SHEDDING,
+                    message=(
+                        f"degraded mode: queue at {depth}/{seats} "
+                        f"(shed threshold {self.shed_at[shard]}); sweep-lane "
+                        "load is being shed, interactive requests still admitted"
+                    ),
+                    retry_after_ms=retry_after_ms,
+                    shard=label,
+                )
+            expires_at = (
+                now + request.timeout_ms / 1000.0
+                if request.timeout_ms is not None
+                else None
+            )
+            entry = QueueEntry(request=request, enqueued_at=now, expires_at=expires_at)
+            self._shards[shard][request.lane].append(entry)
+            self._depth_peak = max(self._depth_peak, self._depth_locked())
+        if self.on_enqueue is not None:
+            self.on_enqueue(shard)
+        return AdmitResult(admitted=True, entry=entry, shard=label)
 
     # -- dispatch -----------------------------------------------------------
 
-    def pop_shard_batch(
-        self, shard: int, max_items: int
+    def pop_batch(
+        self, max_items: int, shard: int = 0
     ) -> Tuple[List[QueueEntry], List[QueueEntry], List[QueueEntry]]:
-        """One shard's ``(ready, expired, cancelled)`` slice."""
-        return self.shards[shard].pop_batch(max_items)
+        """Dequeue up to ``max_items`` live entries from one shard.
+
+        Returns ``(ready, expired, cancelled)``.  Interactive entries
+        dequeue before any sweep entry; FIFO within a lane.  Expired and
+        cancelled entries are drained eagerly (they never count against
+        ``max_items``) so a stale backlog cannot starve live work.
+        """
+        now = self._clock()
+        ready: List[QueueEntry] = []
+        expired: List[QueueEntry] = []
+        cancelled: List[QueueEntry] = []
+        with self._lock:
+            lanes = self._shards[shard]
+            for lane in (LANE_INTERACTIVE, LANE_SWEEP):
+                keep: List[QueueEntry] = []
+                for entry in lanes[lane]:
+                    if entry.cancelled:
+                        cancelled.append(entry)
+                    elif entry.expired(now):
+                        expired.append(entry)
+                    elif len(ready) < max_items:
+                        ready.append(entry)
+                    else:
+                        keep.append(entry)
+                lanes[lane] = keep
+        return ready, expired, cancelled
 
     def cancel(self, request_id: str) -> bool:
-        return any(shard.cancel(request_id) for shard in self.shards)
+        """Mark a pending request cancelled; True when it was still queued."""
+        with self._lock:
+            for lanes in self._shards:
+                for lane in lanes.values():
+                    for entry in lane:
+                        if entry.request.id == request_id and not entry.cancelled:
+                            entry.cancelled = True
+                            return True
+        return False
 
     def drain(self) -> List[QueueEntry]:
-        return [entry for shard in self.shards for entry in shard.drain()]
+        """Remove and return every queued entry (graceful shutdown)."""
+        with self._lock:
+            remaining = [
+                entry
+                for lanes in self._shards
+                for lane in (LANE_INTERACTIVE, LANE_SWEEP)
+                for entry in lanes[lane]
+            ]
+            for lanes in self._shards:
+                for lane in lanes.values():
+                    lane.clear()
+        return remaining

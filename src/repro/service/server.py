@@ -1,7 +1,7 @@
 """The asyncio solve server: admission -> micro-batching -> responses.
 
 :class:`SolveService` is transport-independent: it owns the admission
-queue, the batcher and the metrics registry, and exposes
+queue, the executors and the metrics registry, and exposes
 :meth:`SolveService.handle_message` (one decoded request object in, one
 response object out).  Transports are thin:
 
@@ -19,10 +19,10 @@ admitting (new solves get ``DRAINING``), finishes every queued and
 in-flight request, flushes the responses, closes connections and returns
 -- the clean-drain contract the CI smoke job asserts.
 
-The dispatch loop implements micro-batching: it sleeps one
-``batch_window_ms`` after waking so concurrent arrivals coalesce, then
-pops the queue and hands compatibility-grouped batches to the
-:class:`~repro.service.batcher.Batcher`.
+Each executor has one dispatch loop, the same code for both tiers: it
+sleeps one ``batch_window_ms`` after waking so concurrent arrivals
+coalesce, then pops its shard of the queue and hands compatibility-grouped
+batches to its executor.
 """
 
 from __future__ import annotations
@@ -31,37 +31,42 @@ import asyncio
 import signal
 import sys
 import time
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
+from repro.core import vectorized
 from repro.experiments.cache import ResultCache
 from repro.service import protocol
 from repro.service.batcher import (
-    Batcher,
+    Executor,
+    InlineExecutor,
     finalize_outcomes,
     form_batches,
     resolve_numeric,
 )
 from repro.service.metrics import MetricsRegistry, labelled_name, service_metrics
-from repro.service.queue import AdmissionQueue, QueueEntry, ShardedAdmissionQueue
+from repro.service.queue import AdmissionQueue, QueueEntry
 from repro.service.shard import ShardPool
 
 __all__ = ["SolveService", "run_server"]
 
 
 class SolveService:
-    """Queue + execution tier + metrics behind one ``handle_message`` door.
+    """Queue + executors + metrics behind one ``handle_message`` door.
 
-    Two execution tiers share every other layer:
+    Every tier is a list of executors
+    (:class:`~repro.service.batcher.Executor`), each fed by its own shard
+    of the admission queue and its own dispatch loop:
 
-    * ``shards=0`` (default) -- the inline :class:`Batcher` on a thread
-      pool in this process, the original single-core path;
-    * ``shards=N`` -- the sharded worker-pool tier: a consistent-hash
-      ring routes each request's platform fingerprint to one of N
-      long-lived worker processes (:class:`~repro.service.shard.ShardPool`),
-      each fed by its own admission lane
-      (:class:`~repro.service.queue.ShardedAdmissionQueue`) and its own
-      dispatch loop, all sharing the on-disk result cache.  Responses are
-      byte-identical across tiers and shard counts.
+    * ``shards=0`` (default) -- the inline tier: one in-process solve
+      thread (:class:`~repro.service.batcher.InlineExecutor`) behind a
+      one-shard queue with no router;
+    * ``shards=N`` -- the sharded tier: a consistent-hash ring routes each
+      request's platform fingerprint to one of N long-lived worker
+      processes (:class:`~repro.service.shard.ShardWorker`), all sharing
+      the on-disk result cache.
+
+    Responses are byte-identical across tiers and shard counts; only the
+    sharded tier stamps ``shard`` into provenance and error envelopes.
     """
 
     def __init__(
@@ -71,7 +76,6 @@ class SolveService:
         shed_threshold: float = 0.8,
         batch_window_ms: float = 10.0,
         max_batch: int = 32,
-        workers: int = 1,
         shards: int = 0,
         cache: Optional[ResultCache] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -79,117 +83,92 @@ class SolveService:
         if shards < 0:
             raise ValueError(f"shards must be >= 0, got {shards}")
         self.metrics = service_metrics(metrics)
-        self.shards = shards
-        self.queue: Union[AdmissionQueue, ShardedAdmissionQueue]
+        #: The backend of every request that names none, fixed here: a
+        #: running batch may pin the process backend to another one.
+        self.backend = vectorized.get_backend()
+        self.executors: List[Executor]
+        router = None
         if shards > 0:
-            self.shard_pool: Optional[ShardPool] = ShardPool(shards, cache=cache)
-            self.queue = ShardedAdmissionQueue(
-                shards,
-                self.shard_pool.route,
-                capacity,
-                shed_threshold=shed_threshold,
+            pool = ShardPool(
+                shards, cache=cache, backend=self.backend, metrics=self.metrics
             )
-            self.queue.on_enqueue = self._on_shard_enqueue
-            self.batcher: Optional[Batcher] = None
+            self.executors = list(pool.workers)
+            router = pool.route
         else:
-            self.shard_pool = None
-            self.queue = AdmissionQueue(capacity, shed_threshold=shed_threshold)
-            self.queue.on_enqueue = self._on_enqueue
-            self.batcher = Batcher(
-                cache, self.metrics, workers=workers, max_batch=max_batch
-            )
+            self.executors = [InlineExecutor(cache)]
+        self.queue = AdmissionQueue(
+            capacity,
+            shards=len(self.executors),
+            router=router,
+            shed_threshold=shed_threshold,
+        )
+        self.queue.on_enqueue = self._on_enqueue
+        self._shard_depth_gauges = [
+            self.metrics.gauge(labelled_name("repro_shard_queue_depth", shard=index))
+            for index in range(shards)
+        ]
         self.batch_window_ms = batch_window_ms
         self.max_batch = max_batch
-        #: One dispatch pops at most this many entries; several batches may
-        #: form from one pop.
-        self.pop_limit = max(max_batch, workers * max_batch)
         self._draining = False
-        self._wake: Optional[asyncio.Event] = None
-        self._dispatch_task: Optional[asyncio.Task] = None
-        self._shard_wakes: List[asyncio.Event] = []
-        self._shard_tasks: List[asyncio.Task] = []
+        self._wakes: List[asyncio.Event] = []
+        self._loops: List[asyncio.Task] = []
         self._inflight: Set[asyncio.Task] = set()
         self._connections: Set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the dispatch loop(s) (idempotent)."""
-        if self._dispatch_task is not None or self._shard_tasks:
+        """Start one dispatch loop per executor (idempotent)."""
+        if self._loops:
             return
-        if self.shard_pool is not None:
-            self._shard_wakes = [asyncio.Event() for _ in range(self.shards)]
-            self._shard_tasks = [
-                asyncio.create_task(self._shard_dispatch_loop(index))
-                for index in range(self.shards)
-            ]
-            return
-        self._wake = asyncio.Event()
-        self._dispatch_task = asyncio.create_task(self._dispatch_loop())
+        self._wakes = [asyncio.Event() for _ in self.executors]
+        self._loops = [
+            asyncio.create_task(self._dispatch_loop(index))
+            for index in range(len(self.executors))
+        ]
 
     @property
     def draining(self) -> bool:
         return self._draining
 
     async def drain(self) -> None:
-        """Stop admitting, finish queued + in-flight work, stop the tier.
+        """Stop admitting, finish queued + in-flight work, stop the executors.
 
-        On the sharded tier each worker's in-flight batch completes (the
-        per-shard loops exit only at depth zero, and ``_inflight`` is
-        awaited), its memo stats are flushed into per-shard gauges, and
-        only then is its process shut down.
+        Every loop exits only at depth zero and ``_inflight`` is awaited,
+        so each admitted request gets its terminal response; executor memo
+        stats are then flushed into per-shard gauges, and only then are the
+        executors shut down.
         """
         self._draining = True
-        if self._wake is not None:
-            self._wake.set()
-        for wake in self._shard_wakes:
+        for wake in self._wakes:
             wake.set()
-        if self._dispatch_task is not None:
-            await self._dispatch_task
-            self._dispatch_task = None
-        if self._shard_tasks:
-            await asyncio.gather(*self._shard_tasks)
-            self._shard_tasks = []
+        await asyncio.gather(*self._loops)
+        self._loops = []
         while self._inflight:
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        if self.batcher is not None:
-            self.batcher.shutdown()
-        if self.shard_pool is not None:
-            self._flush_shard_stats()
-            self.shard_pool.shutdown()
-
-    def _flush_shard_stats(self) -> None:
-        """Publish every worker's memo telemetry as per-shard gauges."""
-        assert self.shard_pool is not None
-        for index in range(len(self.shard_pool)):
+        for index, executor in enumerate(self.executors):
             try:
-                stats = self.shard_pool.memo_stats(index)
+                stats = executor.memo_stats()
             except Exception:
                 # A worker that died mid-drain has no stats to flush; the
                 # loss stays observable via the error counter.
                 self.metrics.counter("repro_errors_total").inc()
-                continue
+                stats = {}
             for key, value in sorted(stats.items()):
                 self.metrics.gauge(
                     labelled_name(f"repro_shard_{key}", shard=index)
                 ).set(value)
+            executor.shutdown()
 
-    def _on_enqueue(self) -> None:
-        if self._wake is not None:
-            self._wake.set()
-
-    def _on_shard_enqueue(self, shard: int) -> None:
-        if shard < len(self._shard_wakes):
-            self._shard_wakes[shard].set()
+    def _on_enqueue(self, shard: int) -> None:
+        if shard < len(self._wakes):
+            self._wakes[shard].set()
 
     def _update_queue_gauges(self) -> None:
         self.metrics.gauge("repro_queue_depth").set(self.queue.depth)
         self.metrics.gauge("repro_degraded").set(1.0 if self.queue.degraded else 0.0)
-        if isinstance(self.queue, ShardedAdmissionQueue):
-            for index, depth in enumerate(self.queue.shard_depths()):
-                self.metrics.gauge(
-                    labelled_name("repro_shard_queue_depth", shard=index)
-                ).set(depth)
+        for index, gauge in enumerate(self._shard_depth_gauges):
+            gauge.set(self.queue.shard_depth(index))
 
     # -- request handling ----------------------------------------------------
 
@@ -210,8 +189,6 @@ class SolveService:
         if kind == "cancel":
             target = wire.get("target")
             hit = self.queue.cancel(str(target)) if target is not None else False
-            if hit and self._wake is not None:
-                self._wake.set()
             return protocol.ok_response(request_id, {"cancelled": hit})
         if kind == "drain":
             asyncio.create_task(self.drain())
@@ -295,42 +272,9 @@ class SolveService:
                 ),
             )
 
-    async def _dispatch_loop(self) -> None:
-        assert self._wake is not None
-        assert self.batcher is not None
-        while True:
-            if self.queue.depth == 0:
-                if self._draining:
-                    break
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=0.1)
-                except asyncio.TimeoutError:
-                    continue
-                self._wake.clear()
-                continue
-            # Coalescing window: let concurrent arrivals pile up so
-            # compatible requests share a batch.
-            if self.batch_window_ms > 0.0:
-                await asyncio.sleep(self.batch_window_ms / 1000.0)
-            ready, expired, cancelled = self.queue.pop_batch(self.pop_limit)
-            self._update_queue_gauges()
-            self._fail_stale(expired, cancelled)
-            for batch in form_batches(ready, self.max_batch):
-                batch_future = asyncio.wrap_future(self.batcher.submit_batch(batch))
-                task = asyncio.create_task(self._finish_batch(batch_future))
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
-
-    async def _finish_batch(self, batch_future: "asyncio.Future") -> None:
-        for entry, response in await batch_future:
-            self._resolve(entry, response)
-
-    # -- sharded dispatch ----------------------------------------------------
-
-    async def _shard_dispatch_loop(self, index: int) -> None:
-        """One shard's dispatch loop: pop its lane, batch, feed its worker."""
-        assert isinstance(self.queue, ShardedAdmissionQueue)
-        wake = self._shard_wakes[index]
+    async def _dispatch_loop(self, index: int) -> None:
+        """Shard ``index``'s loop: pop its queue, batch, feed its executor."""
+        wake = self._wakes[index]
         while True:
             if self.queue.shard_depth(index) == 0:
                 if self._draining:
@@ -341,82 +285,62 @@ class SolveService:
                     continue
                 wake.clear()
                 continue
+            # Coalescing window: let concurrent arrivals pile up so
+            # compatible requests share a batch.
             if self.batch_window_ms > 0.0:
                 await asyncio.sleep(self.batch_window_ms / 1000.0)
-            ready, expired, cancelled = self.queue.pop_shard_batch(
-                index, self.pop_limit
-            )
+            ready, expired, cancelled = self.queue.pop_batch(self.max_batch, index)
             self._update_queue_gauges()
             self._fail_stale(expired, cancelled)
-            for batch in form_batches(ready, self.max_batch):
-                task = asyncio.create_task(self._run_shard_batch(index, batch))
+            for batch in form_batches(ready, self.max_batch, self.backend):
+                task = asyncio.create_task(self._run_batch(index, batch))
                 self._inflight.add(task)
                 task.add_done_callback(self._inflight.discard)
 
-    async def _run_shard_batch(
-        self, index: int, entries: List[QueueEntry]
-    ) -> None:
-        """Ship one formed batch to shard ``index``'s worker process.
+    async def _run_batch(self, index: int, entries: List[QueueEntry]) -> None:
+        """Run one formed batch on executor ``index``; resolve its entries.
 
-        The parent side mirrors :meth:`Batcher.run_batch` metric for
-        metric, then finalizes the worker's outcome dicts through the
-        same :func:`finalize_outcomes` path -- only the provenance's
-        ``shard`` stamp distinguishes the tiers on the wire.
+        Both tiers record their batch metrics here and build their
+        responses through :func:`finalize_outcomes`; only the executor's
+        ``provenance`` stamp tells them apart on the wire.
         """
-        assert self.shard_pool is not None
-        if not entries:
-            return
-        backend = resolve_numeric(entries[0].request)
+        executor = self.executors[index]
+        backend = resolve_numeric(entries[0].request, self.backend)
         metrics = self.metrics
         metrics.counter("repro_batches_total").inc()
-        metrics.counter(
-            labelled_name("repro_shard_batches_total", shard=index)
-        ).inc()
         metrics.histogram("repro_batch_size").observe(len(entries))
         if len(entries) > 1:
             metrics.counter("repro_batched_requests_total").inc(len(entries))
         inflight = metrics.gauge("repro_inflight")
         inflight.inc(len(entries))
+        dispatched = time.monotonic()
+        waits_ms = [
+            max(0.0, (dispatched - entry.enqueued_at) * 1000.0) for entry in entries
+        ]
         try:
-            dispatched = time.monotonic()
-            waits_ms = [
-                max(0.0, (dispatched - entry.enqueued_at) * 1000.0)
-                for entry in entries
-            ]
-            future = self.shard_pool.submit(
-                index, [entry.request for entry in entries], backend
-            )
-            outcomes = await asyncio.wrap_future(future)
-            responses = finalize_outcomes(
-                entries,
-                outcomes,
-                waits_ms,
-                backend,
-                metrics,
-                provenance_extra={"shard": index},
+            outcomes = await asyncio.wrap_future(
+                executor.submit([entry.request for entry in entries], backend)
             )
         except Exception as exc:
-            # A dead worker process fails the whole batch; every admitted
-            # request still gets its terminal response.
-            metrics.counter("repro_errors_total").inc(len(entries))
-            responses = [
-                (
-                    entry,
-                    protocol.error_response(
-                        entry.request.id,
-                        protocol.E_INTERNAL,
-                        f"shard {index} worker failure: "
-                        f"{type(exc).__name__}: {exc}",
-                        shard=index,
-                    ),
-                )
-                for entry in entries
-            ]
+            # An executor that fails outright still owes every admitted
+            # request its terminal response.
+            failure = {
+                "ok": False,
+                "code": protocol.E_INTERNAL,
+                "message": f"executor failure: {type(exc).__name__}: {exc}",
+                **executor.provenance,
+            }
+            outcomes = [failure] * len(entries)
         finally:
             inflight.dec(len(entries))
-        metrics.counter(
-            labelled_name("repro_shard_requests_total", shard=index)
-        ).inc(len(entries))
+        responses = finalize_outcomes(
+            entries,
+            outcomes,
+            waits_ms,
+            backend,
+            metrics,
+            provenance_extra=executor.provenance,
+        )
         for entry, response in responses:
             self._resolve(entry, response)
 

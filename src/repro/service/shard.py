@@ -1,7 +1,8 @@
 """The worker-pool execution tier: shard-affine long-lived solver processes.
 
-One shard = one long-lived :class:`~repro.experiments.parallel.WorkerProcess`
-plus the per-shard admission lane the server keeps for it.  The
+One shard = one :class:`ShardWorker` executor (a long-lived
+:class:`~repro.experiments.parallel.WorkerProcess`) plus its shard of the
+server's admission queue and its dispatch loop.  The
 consistent-hash ring (:mod:`repro.service.ring`) routes every solve by its
 *platform fingerprint* -- the same identity the result cache and the
 micro-batcher key on -- so one platform's traffic always lands on the
@@ -20,10 +21,15 @@ process -- but must carry an explicit pragma.
 
 Byte-identity contract: a worker executes batches through the same
 :func:`~repro.service.batcher.execute_batch_requests` core the inline
-batcher uses, with the request's numeric backend pinned process-wide
-first, so canonical result bytes are identical for 1 shard and N shards,
-cold and warm cache (asserted by ``tests/test_service_shard.py`` and the
-``service-shard-smoke`` CI job).
+executor uses, so canonical result bytes are identical for 0, 1 and N
+shards, cold and warm cache (asserted by ``tests/test_service_shard.py``
+and the ``service-shard-smoke`` CI job).
+
+Worker loss: a shard whose worker process dies fails only the batch that
+worker was running, with the retryable ``SHEDDING`` code and a
+``retry_after_ms``, and hands its next batch to a fresh worker (counted
+in ``repro_shard_respawns_total``).  Work moves to a live worker instead
+of the shard failing everything routed to it from then on.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import vectorized
@@ -38,14 +45,20 @@ from repro.experiments.cache import ResultCache, platform_fingerprint
 from repro.experiments.parallel import WorkerProcess
 from repro.service import protocol
 from repro.service.batcher import execute_batch_requests
+from repro.service.metrics import MetricsRegistry, labelled_name
 from repro.service.ring import DEFAULT_VNODES, HashRing
 
 __all__ = [
     "ShardPool",
+    "ShardWorker",
     "shard_execute",
     "shard_memo_stats",
     "shard_route_key",
 ]
+
+#: Backoff suggested to the clients of a batch lost with its worker: the
+#: replacement forks and warms well within it.
+WORKER_LOST_RETRY_AFTER_MS = 250.0
 
 
 def shard_route_key(request: protocol.SolveRequest) -> str:
@@ -84,27 +97,12 @@ def shard_execute(
 ) -> List[Dict[str, object]]:
     """Worker-side entry point: execute one compatible micro-batch.
 
-    Runs inside the shard's worker process.  The batch's numeric backend
-    is pinned process-wide first (idempotent -- a spawn-context worker
-    inherits no programmatic override, and requests may ask for a
-    non-default backend), then the batch flows through the exact
-    execution core the inline batcher uses.  Returns the plain JSON-able
-    outcome dicts of :func:`execute_batch_requests`; the parent turns
-    them into wire responses and metrics.
+    Runs inside the shard's worker process, through the exact execution
+    core the inline executor uses, against the worker's handle on the
+    shared on-disk cache.  Returns the plain JSON-able outcome dicts of
+    :func:`execute_batch_requests`; the parent turns them into wire
+    responses and metrics.
     """
-    if backend == "numpy" and not vectorized.HAS_NUMPY:
-        # Mirror the inline batcher's guard ('jit' degrades gracefully
-        # inside set_backend instead, with backend-scoped cache keys).
-        message = (
-            "numeric backend 'numpy' requested but numpy is not installed "
-            "on this server"
-        )
-        return [
-            {"ok": False, "code": protocol.E_BAD_REQUEST, "message": message}
-            for _ in requests
-        ]
-    if vectorized.get_backend() != backend:
-        vectorized.set_backend(backend)
     return execute_batch_requests(list(requests), _worker_cache(cache_root), backend)
 
 
@@ -120,11 +118,95 @@ def shard_memo_stats() -> Dict[str, float]:
     }
 
 
-class ShardPool:
-    """The ring plus one long-lived worker process per shard.
+class ShardWorker:
+    """Shard ``index``'s executor: one long-lived worker process.
 
-    Workers are warmed (forked and backend/solver-pinned) at
-    construction, before the caller starts an event loop around the pool.
+    The worker is forked and warmed at construction, before the caller
+    starts an event loop around it.  When it dies, the batch it was
+    running resolves to retryable worker-lost outcomes, and the next
+    :meth:`submit` replaces it.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        *,
+        cache: Optional[ResultCache] = None,
+        backend: Optional[str] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ):
+        self.index = index
+        self.provenance: Dict[str, object] = {"shard": index}
+        self._cache_root = cache.root if cache is not None else None
+        self._backend = backend
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._batches = metrics.counter(
+            labelled_name("repro_shard_batches_total", shard=index)
+        )
+        self._requests = metrics.counter(
+            labelled_name("repro_shard_requests_total", shard=index)
+        )
+        self._respawns = metrics.counter(
+            labelled_name("repro_shard_respawns_total", shard=index)
+        )
+        self._worker = WorkerProcess(backend=backend)
+
+    def submit(
+        self, requests: Sequence[protocol.SolveRequest], backend: str
+    ) -> "Future[List[Dict[str, object]]]":
+        """Dispatch one formed batch; resolves to the worker's outcome dicts."""
+        batch = list(requests)
+        self._batches.inc()
+        self._requests.inc(len(batch))
+        try:
+            running = self._worker.submit(
+                shard_execute, batch, self._cache_root, backend
+            )
+        except BrokenProcessPool:
+            # The worker died since its last batch: this batch goes to
+            # its replacement instead.
+            self._worker.shutdown(wait=False)
+            self._worker = WorkerProcess(backend=self._backend)
+            self._respawns.inc()
+            running = self._worker.submit(
+                shard_execute, batch, self._cache_root, backend
+            )
+        outcomes: Future = Future()
+        running.add_done_callback(
+            lambda done: self._settle(done, outcomes, len(batch))
+        )
+        return outcomes
+
+    def _settle(self, done: Future, outcomes: Future, count: int) -> None:
+        error = done.exception()
+        if isinstance(error, BrokenProcessPool):
+            lost = {
+                "ok": False,
+                "code": protocol.E_SHEDDING,
+                "message": (
+                    f"shard {self.index} lost its worker process mid-batch; "
+                    "a replacement takes the next batch, retry"
+                ),
+                "retry_after_ms": WORKER_LOST_RETRY_AFTER_MS,
+                "shard": self.index,
+            }
+            outcomes.set_result([lost] * count)
+        elif error is not None:
+            outcomes.set_exception(error)
+        else:
+            outcomes.set_result(done.result())
+
+    def memo_stats(self) -> Dict[str, float]:
+        """Blocking round-trip for the worker's memo telemetry."""
+        return dict(self._worker.call(shard_memo_stats))
+
+    def shutdown(self, wait: bool = True) -> None:
+        self._worker.shutdown(wait=wait)
+
+
+class ShardPool:
+    """The ring plus one :class:`ShardWorker` per shard.
+
     ``cache`` is the shared on-disk result cache; workers re-open it by
     root path on their side of the process boundary.
     """
@@ -135,40 +217,20 @@ class ShardPool:
         *,
         cache: Optional[ResultCache] = None,
         backend: Optional[str] = None,
+        metrics: Optional[MetricsRegistry] = None,
         vnodes: int = DEFAULT_VNODES,
     ):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.ring = HashRing(shards, vnodes=vnodes)
-        self.cache = cache
-        self.workers: List[WorkerProcess] = [
-            WorkerProcess(backend=backend) for _ in range(shards)
+        self.workers: List[ShardWorker] = [
+            ShardWorker(index, cache=cache, backend=backend, metrics=metrics)
+            for index in range(shards)
         ]
-
-    def __len__(self) -> int:
-        return len(self.workers)
 
     def route(self, request: protocol.SolveRequest) -> int:
         """The shard index owning ``request``'s platform fingerprint."""
         return self.ring.shard_for(shard_route_key(request))
-
-    def submit(
-        self,
-        shard: int,
-        requests: Sequence[protocol.SolveRequest],
-        backend: str,
-    ) -> "Future":
-        """Dispatch one formed batch to ``shard``'s worker; resolves to
-        the worker's outcome dicts."""
-        root = self.cache.root if self.cache is not None else None
-        return self.workers[shard].submit(
-            shard_execute, list(requests), root, backend
-        )
-
-    def memo_stats(self, shard: int) -> Dict[str, float]:
-        """Blocking round-trip for one worker's memo telemetry."""
-        stats = self.workers[shard].call(shard_memo_stats)
-        return dict(stats)
 
     def shutdown(self, wait: bool = True) -> None:
         for worker in self.workers:

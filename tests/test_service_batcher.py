@@ -1,7 +1,12 @@
-"""Batcher tests: coalescing, backend pinning, cache reuse, error isolation."""
+"""Batching tests: coalescing, backend pinning, cache reuse, error isolation.
+
+``TestRunBatch`` drives one dispatch through the inline tier: the
+service's batch path on its in-process executor.
+"""
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 import pytest
@@ -10,10 +15,13 @@ from repro.core import vectorized
 from repro.experiments.cache import ResultCache, service_request_key
 from repro.models import Task, TaskSet, paper_platform
 from repro.service import protocol
-from repro.service.batcher import Batcher, batch_key, form_batches
-from repro.service.metrics import service_metrics
+from repro.service.batcher import InlineExecutor, batch_key, form_batches
 from repro.service.protocol import SolveRequest, canonical_result_bytes
 from repro.service.queue import QueueEntry
+from repro.service.server import SolveService
+
+#: The backend of requests that name none, for the pure grouping tests.
+DEFAULT = "scalar"
 
 
 def make_entry(request_id, *, tasks=None, platform=None, numeric=None, scheme="auto"):
@@ -30,24 +38,37 @@ def make_entry(request_id, *, tasks=None, platform=None, numeric=None, scheme="a
     return QueueEntry(request=request, enqueued_at=time.monotonic())
 
 
+def run_batch(service, entries):
+    """Dispatch ``entries`` as one batch; ``[(entry, response), ...]``."""
+
+    async def dispatch():
+        loop = asyncio.get_running_loop()
+        for entry in entries:
+            entry.context = loop.create_future()
+        await service._run_batch(0, entries)
+        return [(entry, entry.context.result()) for entry in entries]
+
+    return asyncio.run(dispatch())
+
+
 @pytest.fixture
-def batcher(tmp_path):
-    instance = Batcher(cache=ResultCache(str(tmp_path / "cache")), metrics=service_metrics())
+def service(tmp_path):
+    instance = SolveService(cache=ResultCache(str(tmp_path / "cache")))
     yield instance
-    instance.shutdown()
+    asyncio.run(instance.drain())
 
 
 class TestFormBatches:
     def test_compatible_requests_coalesce(self):
         entries = [make_entry(i) for i in range(4)]
-        batches = form_batches(entries, max_batch=8)
+        batches = form_batches(entries, 8, DEFAULT)
         assert len(batches) == 1
         assert [e.request.id for e in batches[0]] == ["0", "1", "2", "3"]
 
     def test_different_platforms_split(self):
         other = paper_platform(alpha_m=2000.0)
         entries = [make_entry(0), make_entry(1, platform=other), make_entry(2)]
-        batches = form_batches(entries, max_batch=8)
+        batches = form_batches(entries, 8, DEFAULT)
         assert [[e.request.id for e in b] for b in batches] == [["0", "2"], ["1"]]
 
     def test_different_backends_split(self):
@@ -56,37 +77,39 @@ class TestFormBatches:
             make_entry(1, numeric="numpy"),
             make_entry(2, numeric="scalar"),
         ]
-        assert batch_key(entries[0].request) != batch_key(entries[1].request)
-        batches = form_batches(entries, max_batch=8)
+        assert batch_key(entries[0].request, DEFAULT) != batch_key(
+            entries[1].request, DEFAULT
+        )
+        batches = form_batches(entries, 8, DEFAULT)
         assert [[e.request.id for e in b] for b in batches] == [["0", "2"], ["1"]]
 
     def test_oversized_group_splits_within_bound(self):
         entries = [make_entry(i) for i in range(10)]
-        batches = form_batches(entries, max_batch=4)
+        batches = form_batches(entries, 4, DEFAULT)
         assert all(1 <= len(b) <= 4 for b in batches)
         flattened = [e.request.id for b in batches for e in b]
         assert flattened == [str(i) for i in range(10)]  # order preserved
         # An even 50-item group splits into two batches of 25, not 32 + 18.
-        fifty = form_batches([make_entry(i) for i in range(50)], max_batch=32)
+        fifty = form_batches([make_entry(i) for i in range(50)], 32, DEFAULT)
         assert [len(b) for b in fifty] == [25, 25]
 
     def test_bad_max_batch_rejected(self):
         with pytest.raises(ValueError, match="max_batch"):
-            form_batches([], max_batch=0)
+            form_batches([], 0, DEFAULT)
 
 
 class TestRunBatch:
-    def test_responses_pair_with_entries(self, batcher):
+    def test_responses_pair_with_entries(self, service):
         entries = [make_entry(i) for i in range(3)]
-        results = batcher.run_batch(entries)
+        results = run_batch(service, entries)
         assert [entry.request.id for entry, _ in results] == ["0", "1", "2"]
         for _, response in results:
             assert response["ok"] is True
             assert response["provenance"]["batch_size"] == 3
 
-    def test_cache_hit_is_byte_identical_to_fresh_solve(self, batcher):
-        [(_, first)] = batcher.run_batch([make_entry("x")])
-        [(_, second)] = batcher.run_batch([make_entry("y")])  # same tasks/platform
+    def test_cache_hit_is_byte_identical_to_fresh_solve(self, service):
+        [(_, first)] = run_batch(service, [make_entry("x")])
+        [(_, second)] = run_batch(service, [make_entry("y")])  # same tasks/platform
         assert first["provenance"]["cache"] == "miss"
         assert second["provenance"]["cache"] == "hit"
         assert canonical_result_bytes(first["result"]) == canonical_result_bytes(
@@ -104,14 +127,14 @@ class TestRunBatch:
         assert len(keys) == 3
 
     def test_no_cache_mode_reports_off(self):
-        batcher = Batcher(cache=None, metrics=service_metrics())
+        service = SolveService(cache=None)
         try:
-            [(_, response)] = batcher.run_batch([make_entry("x")])
+            [(_, response)] = run_batch(service, [make_entry("x")])
         finally:
-            batcher.shutdown()
+            asyncio.run(service.drain())
         assert response["provenance"]["cache"] == "off"
 
-    def test_infeasible_request_fails_alone(self, batcher):
+    def test_infeasible_request_fails_alone(self, service):
         sporadic = TaskSet(
             [
                 Task(0.0, 50.0, 4000.0, "x"),
@@ -123,41 +146,47 @@ class TestRunBatch:
             make_entry("good"),
             make_entry("bad", tasks=sporadic, scheme="common-release"),
         ]
-        results = {entry.request.id: resp for entry, resp in batcher.run_batch(entries)}
+        results = {
+            entry.request.id: resp for entry, resp in run_batch(service, entries)
+        }
         assert results["good"]["ok"] is True
         assert results["bad"]["ok"] is False
         assert results["bad"]["error"]["code"] == protocol.E_INFEASIBLE
 
-    def test_batch_matches_direct_execute(self, batcher):
+    def test_batch_matches_direct_execute(self, service):
         entry = make_entry("x")
-        [(_, response)] = batcher.run_batch([entry])
+        [(_, response)] = run_batch(service, [entry])
         direct = protocol.execute_request(entry.request)
         assert canonical_result_bytes(response["result"]) == canonical_result_bytes(
             direct
         )
 
     @pytest.mark.skipif(not vectorized.HAS_NUMPY, reason="needs numpy")
-    def test_backend_pinned_and_restored(self, batcher):
+    def test_backend_pinned_and_restored(self, service):
         before = vectorized.get_backend()
         pinned = "numpy" if before == "scalar" else "scalar"
-        [(_, response)] = batcher.run_batch([make_entry("x", numeric=pinned)])
+        [(_, response)] = run_batch(service, [make_entry("x", numeric=pinned)])
         assert response["provenance"]["backend"] == pinned
         assert vectorized.get_backend() == before
 
-    def test_numpy_unavailable_rejected_cleanly(self, batcher, monkeypatch):
+    def test_numpy_unavailable_rejected_cleanly(self, service, monkeypatch):
         monkeypatch.setattr(vectorized, "HAS_NUMPY", False)
-        [(_, response)] = batcher.run_batch([make_entry("x", numeric="numpy")])
+        [(_, response)] = run_batch(service, [make_entry("x", numeric="numpy")])
         assert response["ok"] is False
         assert response["error"]["code"] == protocol.E_BAD_REQUEST
         assert "numpy" in response["error"]["message"]
 
-    def test_metrics_recorded(self, batcher):
-        batcher.run_batch([make_entry(i) for i in range(2)])
-        snapshot = batcher.metrics.snapshot()
+    def test_metrics_recorded(self, service):
+        run_batch(service, [make_entry(i) for i in range(2)])
+        snapshot = service.metrics.snapshot()
         assert snapshot["repro_batches_total"]["value"] == 1
         assert snapshot["repro_batch_size"]["max"] == 2
         assert snapshot["repro_batched_requests_total"]["value"] == 2
         assert snapshot["repro_responses_total"]["value"] == 2
 
-    def test_empty_batch_is_noop(self, batcher):
-        assert batcher.run_batch([]) == []
+    def test_empty_batch_is_noop(self):
+        executor = InlineExecutor()
+        try:
+            assert executor.submit([], DEFAULT).result(timeout=10) == []
+        finally:
+            executor.shutdown()

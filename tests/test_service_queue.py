@@ -79,10 +79,10 @@ class TestAdmission:
     def test_on_enqueue_fires_only_on_admission(self):
         queue = AdmissionQueue(capacity=1)
         wakes = []
-        queue.on_enqueue = lambda: wakes.append(1)
+        queue.on_enqueue = wakes.append
         queue.offer(make_request(0))
         queue.offer(make_request(1))  # rejected
-        assert len(wakes) == 1
+        assert wakes == [0]  # the one shard of an unrouted queue
 
 
 class TestDispatch:
@@ -153,24 +153,36 @@ op_strategy = st.one_of(
         st.just("offer"),
         st.sampled_from([LANE_INTERACTIVE, LANE_SWEEP]),
     ),
-    st.tuples(st.just("pop"), st.integers(min_value=1, max_value=4)),
+    st.tuples(
+        st.just("pop"),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2),
+    ),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     capacity=st.integers(min_value=1, max_value=8),
+    shards=st.integers(min_value=1, max_value=3),
     shed_threshold=st.floats(min_value=0.1, max_value=1.0),
     ops=st.lists(op_strategy, max_size=60),
 )
 def test_queue_never_exceeds_capacity_and_rejections_are_traceless(
-    capacity, shed_threshold, ops
+    capacity, shards, shed_threshold, ops
 ):
     """The bounded queue never holds more than ``capacity`` entries, and a
     rejected request is never partially executed: it never reaches the
     dispatch side (so no worker ever sees it and no cache write can happen
-    on its behalf)."""
-    queue = AdmissionQueue(capacity=capacity, shed_threshold=shed_threshold)
+    on its behalf).  Holds for the inline tier's one-shard queue and for
+    routed multi-shard queues alike."""
+    shards = min(shards, capacity)  # every shard needs a seat
+    queue = AdmissionQueue(
+        capacity=capacity,
+        shards=shards,
+        router=None if shards == 1 else (lambda r: int(r.id[1:]) % shards),
+        shed_threshold=shed_threshold,
+    )
     admitted, rejected = set(), set()
     dispatched = []  # stand-in for the worker pool: everything popped
     serial = 0
@@ -188,8 +200,8 @@ def test_queue_never_exceeds_capacity_and_rejections_are_traceless(
                 assert result.retry_after_ms is not None
                 rejected.add(request.id)
         else:
-            _, max_items = op
-            ready, expired, cancelled = queue.pop_batch(max_items)
+            _, max_items, shard = op
+            ready, expired, cancelled = queue.pop_batch(max_items, shard % shards)
             assert len(ready) <= max_items
             dispatched.extend(e.request.id for e in ready + expired + cancelled)
         assert queue.depth <= capacity
@@ -249,7 +261,7 @@ def test_open_loop_overload_invariants(
             rejections.append((depth_before, result.retry_after_ms))
             if result.code == E_SHEDDING:
                 assert lane == LANE_SWEEP
-                assert depth_before >= queue.shed_at
+                assert depth_before >= queue.shed_at[0]
             else:
                 assert result.code == E_QUEUE_FULL
                 assert depth_before >= queue.capacity

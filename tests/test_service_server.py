@@ -5,9 +5,11 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import threading
 
 import pytest
 
+from repro.core import vectorized
 from repro.experiments.cache import ResultCache
 from repro.service import protocol
 from repro.service.client import ServiceClient, demo_wire_requests, run_demo
@@ -166,6 +168,59 @@ class TestLifecycle:
             assert all(r["ok"] for r in await asyncio.gather(*held))
 
         run(with_service(body, capacity=4, shed_threshold=0.5, batch_window_ms=120.0))
+
+
+class TestBackendResolution:
+    @pytest.mark.skipif(not vectorized.HAS_NUMPY, reason="needs two backends")
+    def test_default_request_keeps_its_backend_while_a_batch_is_pinned(
+        self, monkeypatch
+    ):
+        """Requests batched while the solve thread has pinned another
+        backend keep their own: a default request solves under the
+        service default and never shares a batch with explicit requests
+        for the pinned backend."""
+        default = vectorized.get_backend()
+        pinned = "numpy" if default == "scalar" else "scalar"
+        started, release = threading.Event(), threading.Event()
+        real = protocol.execute_request
+
+        def blocking(request):
+            if request.id == "A":
+                started.set()
+                assert release.wait(timeout=30)
+            return real(request)
+
+        monkeypatch.setattr(protocol, "execute_request", blocking)
+
+        async def body(service):
+            first = asyncio.create_task(
+                service.handle_message(solve_wire("A", numeric=pinned))
+            )
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, started.wait, 30)
+            assert vectorized.get_backend() == pinned  # A's batch holds the pin
+            rest = [
+                asyncio.create_task(service.handle_message(solve_wire("B"))),
+                asyncio.create_task(
+                    service.handle_message(solve_wire("C", numeric=pinned))
+                ),
+            ]
+            await asyncio.sleep(0)
+            assert service.queue.depth == 2
+            for _ in range(3000):  # B and C popped and batched under the pin
+                if service.queue.depth == 0:
+                    break
+                await asyncio.sleep(0.005)
+            assert service.queue.depth == 0
+            release.set()
+            return {r["id"]: r for r in await asyncio.gather(first, *rest)}
+
+        responses = run(with_service(body, batch_window_ms=20.0))
+        assert all(r["ok"] for r in responses.values())
+        backends = {key: r["provenance"]["backend"] for key, r in responses.items()}
+        assert backends == {"A": pinned, "B": default, "C": pinned}
+        assert responses["B"]["provenance"]["batch_size"] == 1
+        assert responses["C"]["provenance"]["batch_size"] == 1
 
 
 class TestTcpTransport:

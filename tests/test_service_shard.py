@@ -1,7 +1,7 @@
 """Shard tier tests (PR 10): routing, byte-identity, drain, backpressure.
 
 The acceptance contract: a sharded service is an *invisible* scaling
-knob.  Canonical result bytes must match the inline batcher tier and the
+knob.  Canonical result bytes must match the inline tier and the
 direct solver byte for byte -- for 1 shard and N shards, cold cache and
 warm -- and drain must hand back exactly one response per admitted
 request, flushing the workers' memo statistics into the parent metrics
@@ -11,6 +11,10 @@ on the way out.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -18,11 +22,13 @@ from repro.experiments.cache import ResultCache
 from repro.models import Task, TaskSet
 from repro.service import protocol
 from repro.service.client import (
+    RETRYABLE_CODES,
     ServiceClient,
     demo_wire_requests,
     expected_result,
 )
-from repro.service.queue import ShardedAdmissionQueue, split_capacity
+from repro.service.metrics import labelled_name
+from repro.service.queue import AdmissionQueue, split_capacity
 from repro.service.ring import HashRing
 from repro.service.server import SolveService
 from repro.service.shard import ShardPool, shard_route_key
@@ -78,10 +84,10 @@ class TestCapacitySplit:
 class TestShardedQueue:
     def _queue(self, shards=2, capacity=8, **kwargs):
         ring = HashRing(shards)
-        return ShardedAdmissionQueue(
-            shards,
-            lambda request: ring.shard_for(shard_route_key(request)),
+        return AdmissionQueue(
             capacity,
+            shards=shards,
+            router=lambda request: ring.shard_for(shard_route_key(request)),
             **kwargs,
         )
 
@@ -109,8 +115,8 @@ class TestShardedQueue:
         queue = self._queue()
         admitted = queue.offer(make_request("x"))
         other = 1 - admitted.shard
-        assert queue.pop_shard_batch(other, 8) == ([], [], [])
-        ready, expired, cancelled = queue.pop_shard_batch(admitted.shard, 8)
+        assert queue.pop_batch(8, other) == ([], [], [])
+        ready, expired, cancelled = queue.pop_batch(8, admitted.shard)
         assert [e.request.id for e in ready] == ["x"]
         assert expired == [] and cancelled == []
 
@@ -159,7 +165,7 @@ class TestByteIdentity:
             if w.get("kind") == "solve"
         ]
         expected = self._expected(wires)
-        for shards in (0, 1, 4):  # 0 = inline batcher tier
+        for shards in (0, 1, 4):  # 0 = inline tier
             passes = self._serve_all(wires, tmp_path, shards, f"s{shards}")
             for label, responses in zip(("cold", "warm"), passes):
                 assert all(r["ok"] for r in responses), (shards, label)
@@ -226,6 +232,67 @@ class TestDrain:
         assert 'repro_shard_worker_pid{shard=' in text
 
 
+class TestWorkerLoss:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the stalled solve reaches the worker through fork",
+    )
+    def test_worker_killed_mid_batch_fails_only_that_batch(
+        self, tmp_path, monkeypatch
+    ):
+        """SIGKILL a shard's worker mid-batch: that batch alone fails, with
+        a retryable code; the shard's next request runs on a replacement
+        worker and matches a direct solve; drain still returns."""
+        started = tmp_path / "doomed-started"
+        real = protocol.execute_request
+
+        def stalled(request):
+            if request.id.startswith("doomed"):
+                scratch = tmp_path / "doomed-started.tmp"
+                scratch.write_text(str(os.getpid()))
+                scratch.replace(started)
+                time.sleep(60)
+            return real(request)
+
+        # Patched before the service forks its worker, so the worker runs it.
+        monkeypatch.setattr(protocol, "execute_request", stalled)
+
+        async def body():
+            service = SolveService(shards=1, batch_window_ms=0.0)
+            await service.start()
+            doomed = [
+                asyncio.create_task(service.handle_message(solve_wire(f"doomed{i}")))
+                for i in range(3)
+            ]
+            for _ in range(3000):
+                if started.exists():
+                    break
+                await asyncio.sleep(0.01)
+            assert started.exists()
+            os.kill(int(started.read_text()), signal.SIGKILL)
+            lost = await asyncio.wait_for(asyncio.gather(*doomed), timeout=60)
+            after = await asyncio.wait_for(
+                service.handle_message(solve_wire("after")), timeout=60
+            )
+            await asyncio.wait_for(service.drain(), timeout=60)
+            return service, lost, after
+
+        service, lost, after = run(body())
+        assert sorted(r["id"] for r in lost) == ["doomed0", "doomed1", "doomed2"]
+        for response in lost:
+            assert response["ok"] is False
+            assert response["error"]["code"] in RETRYABLE_CODES
+            assert response["error"]["retry_after_ms"] > 0
+            assert response["error"]["shard"] == 0
+        assert after["ok"] is True
+        direct = real(make_request("after"))
+        assert protocol.canonical_result_bytes(
+            after["result"]
+        ) == protocol.canonical_result_bytes(direct)
+        respawns = labelled_name("repro_shard_respawns_total", shard=0)
+        assert service.metrics.counter(respawns).value == 1
+
+
 class TestBackpressureEnvelope:
     def test_queue_full_envelope_carries_shard(self):
         async def body():
@@ -233,7 +300,7 @@ class TestBackpressureEnvelope:
             # (capacity 2 over 2 shards = 1 slot each) trips immediately.
             service = SolveService(shards=2, capacity=2, shed_threshold=1.0)
             filler = make_request("filler")
-            shard = service.shard_pool.route(filler)
+            shard = service.queue.router(filler)
             assert service.queue.offer(filler).admitted
             response = await service.handle_message(solve_wire("overflow"))
             await service.drain()
