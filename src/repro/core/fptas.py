@@ -43,6 +43,16 @@ so :func:`solve_agreeable_fptas_columns` — which never materializes
 per-task ``Task`` objects — runs the O(m^2) DP only inside small
 clusters and handles n in the 10^3–10^5 range.
 
+Block pricing is the cost of a huge-n solve.  One span pricer
+(:func:`_price_spans`) serves both agreeable entry points: it groups the
+trace's multi-task spans by width, and under the numpy backend (which the
+jit backend rides) prices each width group of at least
+:data:`_BATCH_MIN_SPANS` spans in lockstep batches (:func:`_price_rows`
+over :func:`repro.core.vectorized.fptas_block_energy_rows`).  Every other
+span takes the scalar per-block pricer (:func:`_price_block_discrete`
+over :func:`_columns_block_pricer`), the reference the batched path
+reproduces float for float, so energies do not depend on the backend.
+
 The module also owns the process-wide *solver tier* selection mirrored
 on :mod:`repro.core.vectorized`'s backend switch: ``REPRO_SOLVER_TIER``
 / ``REPRO_SOLVER_EPSILON`` environment variables, a programmatic
@@ -54,8 +64,11 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core import vectorized
 from repro.core.agreeable import AgreeableSolution
@@ -65,7 +78,11 @@ from repro.core.transition import _schedule_geometry, overhead_energy_at_delta
 from repro.models.platform import Platform
 from repro.models.task import Task, TaskSet
 from repro.units import MS, SCALAR, UJ, unit
-from repro.utils.solvers import golden_section_minimize, record_solver_call
+from repro.utils.solvers import (
+    golden_section_minimize,
+    golden_section_minimize_batch,
+    record_solver_call,
+)
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -95,6 +112,21 @@ _INFEASIBLE_FLOOR = 1e29
 #: Descent rounds (one line search per direction) before snapping onto
 #: the ε-grid.
 _DESCENT_ROUNDS = 3
+
+#: Under the numpy backend, a block width with at least this many spans
+#: across the trace is priced in lockstep batches; smaller groups keep the
+#: per-block scalar pricer.  A batched group pays a fixed 20-45 ms of
+#: lockstep overhead, which ties the scalar pricer at about 64 width-2
+#: spans (both give the same floats, so the split is free to move).
+_BATCH_MIN_SPANS = 64
+
+#: Most blocks, and most block tasks (blocks x width), one lockstep batch
+#: prices; larger width groups are split into even chunks.  The first
+#: bounds the per-block search state, the second the batch's task stack;
+#: together they keep an n = 10^4 solve's process peak resident memory
+#: within about 1.5 MB of the scalar pricer's.
+_BATCH_MAX_ROWS = 1024
+_BATCH_MAX_TASKS = 4096
 
 _tier_override: Optional[str] = None
 _epsilon_override: Optional[float] = None
@@ -372,6 +404,126 @@ def _price_block_discrete(
     return best_value, start_lo + best_i * step, end_hi - best_j * step
 
 
+def _line_search_rows(
+    evaluate: Callable[..., "vectorized.np.ndarray"],
+    rows: "vectorized.np.ndarray",
+    s: "vectorized.np.ndarray",
+    e: "vectorized.np.ndarray",
+    f: "vectorized.np.ndarray",
+    ds: float,
+    de: float,
+    s_bounds: Tuple["vectorized.np.ndarray", "vectorized.np.ndarray"],
+    e_bounds: Tuple["vectorized.np.ndarray", "vectorized.np.ndarray"],
+    tol: "vectorized.np.ndarray",
+) -> None:
+    """:func:`_line_search` for the blocks ``rows``, moving ``s, e, f`` in place.
+
+    Every per-block array is indexed by block; ``evaluate(rows, s, e)``
+    prices blocks ``rows`` at ``[s, e]``.
+    """
+    np = vectorized.np
+    t_lo = np.full(rows.shape[0], -math.inf)
+    t_hi = np.full(rows.shape[0], math.inf)
+    for (lo, hi), v, dv in ((s_bounds, s, ds), (e_bounds, e, de)):
+        if dv == 0.0:
+            continue
+        if dv < 0.0:
+            lo, hi = hi, lo
+        from_lo = (lo[rows] - v[rows]) / dv
+        from_hi = (hi[rows] - v[rows]) / dv
+        # Python's max(t_lo, x) / min(t_hi, x): the running bound wins ties.
+        t_lo = np.where(from_lo > t_lo, from_lo, t_lo)
+        t_hi = np.where(from_hi < t_hi, from_hi, t_hi)
+    search = ~(t_hi <= t_lo)
+    rows = rows[search]
+    if rows.shape[0] == 0:
+        return
+    s0, e0 = s[rows], e[rows]
+    t, value = golden_section_minimize_batch(
+        lambda x, idx: evaluate(rows[idx], s0[idx] + x * ds, e0[idx] + x * de),
+        t_lo[search],
+        t_hi[search],
+        tol=tol[rows],
+    )
+    moved = value < f[rows]
+    s[rows[moved]] = s0[moved] + t[moved] * ds
+    e[rows[moved]] = e0[moved] + t[moved] * de
+    f[rows[moved]] = value[moved]
+
+
+def _price_rows(
+    stack: "vectorized.FptasRows", platform: Platform, epsilon: float
+) -> Tuple["vectorized.np.ndarray", "vectorized.np.ndarray", "vectorized.np.ndarray"]:
+    """:func:`_price_block_discrete` for every block of a same-width stack.
+
+    Runs the blocks' descents in lockstep -- each golden-section step and
+    each grid candidate is one :func:`vectorized.fptas_block_energy_rows`
+    call for every block still searching -- and returns per-block
+    ``(energy, start, end)`` arrays, with ``energy = inf`` where the
+    scalar pricer returns ``None``.  Each block takes exactly the scalar
+    path's steps (the same line searches, early exit, snap neighborhood
+    and corner), so the floats are the scalar pricer's.
+    """
+    np = vectorized.np
+
+    def evaluate(owners, starts, ends):
+        return vectorized.fptas_block_energy_rows(stack, platform, owners, starts, ends)
+
+    start_lo = stack.releases[0]
+    end_hi = stack.deadlines[-1]
+    step = np.maximum(
+        _rounding_delta(epsilon) * (stack.workloads.max(axis=0) / platform.core.s_up),
+        1e-9,
+    )
+    span = end_hi - start_lo
+    count = np.ceil(span / step)
+    top = np.where(count > 1, count - 1, 0.0)
+    s_box = np.minimum(np.maximum(stack.deadlines[0], start_lo), end_hi)
+    e_box = np.minimum(np.maximum(stack.releases[-1], start_lo), end_hi)
+    tol = np.maximum(step, 1e-12)
+
+    rows = np.arange(start_lo.shape[0])
+    s_cur, e_cur = start_lo.copy(), end_hi.copy()
+    f_cur = evaluate(rows, s_cur, e_cur)
+    active = rows
+    for _ in range(_DESCENT_ROUNDS):
+        f_before = f_cur[active]
+        for ds, de in _DESCENT_DIRECTIONS:
+            _line_search_rows(
+                evaluate, active, s_cur, e_cur, f_cur, ds, de,
+                (start_lo, s_box), (e_box, end_hi), tol,
+            )
+        stalled = f_before - f_cur[active] <= 1e-12 * np.maximum(np.abs(f_before), 1.0)
+        active = active[~stalled]
+        if active.shape[0] == 0:
+            break
+
+    # The scalar snap: its 4x4 neighborhood in visiting order, then the
+    # (0, 0) corner, keeping each block's first strict minimum (a repeated
+    # grid point repeats its value, so pricing it again changes nothing).
+    i0 = np.trunc((s_cur - start_lo) / step)
+    j0 = np.trunc((end_hi - e_cur) / step)
+    best_value = np.full(rows.shape[0], math.inf)
+    best_i = np.zeros(rows.shape[0])
+    best_j = np.zeros(rows.shape[0])
+    for di in (-2, -1, 0, 1):
+        for dj in (-2, -1, 0, 1):
+            i = np.minimum(np.maximum(i0 + di, 0.0), top)
+            j = np.minimum(np.maximum(j0 + dj, 0.0), top)
+            value = evaluate(rows, start_lo + i * step, end_hi - j * step)
+            better = value < best_value
+            best_value[better] = value[better]
+            best_i[better] = i[better]
+            best_j[better] = j[better]
+    value = evaluate(rows, start_lo, end_hi)
+    better = value < best_value
+    best_value[better] = value[better]
+    best_i[better] = 0.0
+    best_j[better] = 0.0
+    best_value[(best_value >= _INFEASIBLE_FLOOR) | (span <= 0.0)] = math.inf
+    return best_value, start_lo + best_i * step, end_hi - best_j * step
+
+
 # ---------------------------------------------------------------------------
 # Cluster decomposition and the rounded-state prefix DP
 # ---------------------------------------------------------------------------
@@ -409,42 +561,62 @@ def _split_indices(
     return bounds
 
 
+def _span_slot(p: int, q: int) -> int:
+    """Slot of the cluster-relative span ``[p, q)`` in its cluster's run.
+
+    A cluster of ``m`` tasks owns ``_span_slot(0, m + 1) = m (m + 1) / 2``
+    consecutive slots, ordered by ``q`` and then ``p`` -- the order in
+    which the prefix DP reads them.
+    """
+    return q * (q - 1) // 2 + p
+
+
+class _SpanPrices(NamedTuple):
+    """Priced spans of every multi-task cluster, in flat float arrays.
+
+    The ``k``-th multi-task cluster's spans follow those of the clusters
+    before it (:func:`_span_slot` inside the run).  ``energy`` is ``inf``
+    where the block is infeasible; ``start`` / ``end`` are the block's
+    busy interval, meaningful for blocks of two or more tasks, and empty
+    unless the caller asked for intervals.
+    """
+
+    energy: "array[float]"
+    start: "array[float]"
+    end: "array[float]"
+
+
 def _cluster_partition(
-    m: int,
-    price: Callable[[int, int], Optional[Tuple[float, object]]],
-    overhead: float,
-    delta: float,
-) -> List[Tuple[int, int, float, object]]:
+    m: int, energies: "array[float]", base: int, overhead: float, delta: float
+) -> List[Tuple[int, int, float]]:
     """Prefix DP over one cluster, comparing ladder-rounded block prices.
 
-    ``price(p, q)`` returns ``(true_energy, payload)`` for the block of
-    cluster-relative tasks ``[p, q)`` or ``None`` when that block is
-    infeasible.  Returns the chosen blocks as ``(p, q, true_energy,
-    payload)`` in task order; the caller reports true energies, the
-    rounding only coarsens DP comparisons.
+    The true energy of the block of cluster-relative tasks ``[p, q)`` is
+    ``energies[base + _span_slot(p, q)]`` (``inf`` when infeasible).
+    Returns the chosen blocks as ``(p, q, true_energy)`` in task order;
+    the caller reports true energies, the rounding only coarsens DP
+    comparisons.
     """
     best = [math.inf] * (m + 1)
     best[0] = 0.0
-    prev = [-1] * (m + 1)
-    choice: Dict[int, Tuple[int, float, object]] = {}
+    choice: Dict[int, Tuple[int, float]] = {}
     for q in range(1, m + 1):
+        row = base + _span_slot(0, q)
         for p in range(q):
-            priced = price(p, q)
-            if priced is None:
+            energy = energies[row + p]
+            if energy == math.inf:
                 continue
-            energy, payload = priced
             cand = best[p] + _round_energy_up(energy + overhead, delta)
             if cand < best[q]:
                 best[q] = cand
-                prev[q] = p
-                choice[q] = (p, energy, payload)
+                choice[q] = (p, energy)
     if not math.isfinite(best[m]):
         raise ValueError("cluster DP found no feasible block partition")
-    out: List[Tuple[int, int, float, object]] = []
+    out: List[Tuple[int, int, float]] = []
     q = m
     while q > 0:
-        p, energy, payload = choice[q]
-        out.append((p, q, energy, payload))
+        p, energy = choice[q]
+        out.append((p, q, energy))
         q = p
     out.reverse()
     return out
@@ -540,10 +712,8 @@ def solve_agreeable_fptas(
         if not tasks.is_feasible_at(platform.core.s_up):
             raise ValueError("task set infeasible even at s_up")
     record_solver_call("solve_agreeable_fptas")
-    core = platform.core
     memory = platform.memory
     overhead = memory.transition_energy() if include_transition_overhead else 0.0
-    delta = _rounding_delta(eps)
     n = len(tasks)
     if n == 0:
         return AgreeableSolution(
@@ -553,48 +723,27 @@ def solve_agreeable_fptas(
     deadlines = [t.deadline for t in tasks]
     workloads = [t.workload for t in tasks]
     bounds = _split_indices(releases, deadlines, memory.alpha_m, overhead, memory.xi_m)
-    block_energy = _columns_block_pricer(releases, deadlines, workloads, platform)
-
     blocks: List[BlockSolution] = []
     total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        m = b - a
-
-        def price(p: int, q: int, _a: int = a) -> Optional[Tuple[float, object]]:
-            g_p, g_q = _a + p, _a + q
-            width = q - p
-            if width == 1:
-                solution = _solve_singleton(tasks[g_p], platform)
-                return solution.energy, solution
-            start_lo = releases[g_p]
-            end_hi = deadlines[g_q - 1]
-            min_busy = max(workloads[g_p:g_q]) / core.s_up
-            step = _grid_step(eps, min_busy)
-            priced = _price_block_discrete(
-                lambda s, e: block_energy(g_p, g_q, s, e),
-                start_lo,
-                end_hi,
-                step,
-                start_hi=deadlines[g_p],
-                end_lo=releases[g_q - 1],
+    # Only the chosen blocks are materialized; every other priced span
+    # stays three floats in the span pricer's arrays.
+    for lo, hi, energy, start, end in _partition_blocks(
+        releases, deadlines, workloads, platform, bounds, eps, overhead, intervals=True
+    ):
+        if hi - lo > 1:
+            subset = tasks.subset(lo, hi)
+            blocks.append(
+                BlockSolution(
+                    tasks=subset,
+                    start=start,
+                    end=end,
+                    energy=energy,
+                    placements=_scalar_placements(subset.tasks, platform, start, end),
+                )
             )
-            if priced is None:
-                return None
-            energy, s_opt, e_opt = priced
-            subset = tasks.subset(g_p, g_q)
-            placements = _scalar_placements(subset.tasks, platform, s_opt, e_opt)
-            return energy, BlockSolution(
-                tasks=subset,
-                start=s_opt,
-                end=e_opt,
-                energy=energy,
-                placements=placements,
-            )
-
-        for _p, _q, energy, payload in _cluster_partition(m, price, overhead, delta):
-            assert isinstance(payload, BlockSolution)
-            blocks.append(payload)
-            total += energy + overhead
+        else:
+            blocks.append(_solve_singleton(tasks[lo], platform))
+        total += energy + overhead
     return AgreeableSolution(
         tasks=tasks,
         blocks=tuple(blocks),
@@ -704,7 +853,9 @@ def _columns_block_pricer(
     relative speed-cap tolerance) without constructing Task objects.  The
     per-task durations that do not depend on the block edges are computed
     once here, with the same arithmetic the evaluator used inline, so
-    prices are the same floats.
+    prices are the same floats.  This is the reference the batched
+    pricer's :func:`repro.core.vectorized.fptas_block_energy_rows`
+    reproduces.
 
     One deliberate difference from the object evaluator: the degenerate
     region ``end <= start`` is *not* special-cased to a flat ``_PENALTY *
@@ -763,6 +914,126 @@ def _columns_block_pricer(
     return block_energy
 
 
+def _price_spans(
+    releases: Sequence[float],
+    deadlines: Sequence[float],
+    workloads: Sequence[float],
+    platform: Platform,
+    bounds: Sequence[int],
+    epsilon: float,
+    *,
+    intervals: bool,
+) -> _SpanPrices:
+    """Price every span of every multi-task cluster of the trace.
+
+    Singleton spans take the closed form.  Spans of two or more tasks are
+    grouped by width across the whole trace; under the numpy backend
+    (:func:`vectorized.use_numpy`, which the jit backend rides) a group of
+    at least :data:`_BATCH_MIN_SPANS` spans is priced in lockstep batches
+    (:func:`_price_rows`, at most :data:`_BATCH_MAX_ROWS` blocks and
+    :data:`_BATCH_MAX_TASKS` tasks each), and every other span by the
+    scalar :func:`_price_block_discrete` over :func:`_columns_block_pricer`.
+    Both give the same floats, so the prices -- and the partition the DP
+    picks from them -- do not depend on the backend.
+    """
+    energy: "array[float]" = array("d")
+    groups: Dict[int, Tuple["array[int]", "array[int]"]] = {}
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        m = b - a
+        if m == 1:
+            continue
+        for q in range(1, m + 1):
+            for p in range(q):
+                lo = a + p
+                if q - p > 1:
+                    firsts, slots = groups.setdefault(q - p, (array("i"), array("i")))
+                    firsts.append(lo)
+                    slots.append(len(energy))
+                    energy.append(math.inf)
+                else:
+                    energy.append(
+                        _singleton_energy(
+                            releases[lo], deadlines[lo], workloads[lo], platform
+                        )
+                    )
+    start = array("d", [0.0]) * (len(energy) if intervals else 0)
+    end = array("d", [0.0]) * (len(energy) if intervals else 0)
+    columns = (energy, start, end) if intervals else (energy,)
+    s_up = platform.core.s_up
+    for width, (firsts, slots) in groups.items():
+        if vectorized.use_numpy() and len(firsts) >= _BATCH_MIN_SPANS:
+            np = vectorized.np
+            first_rows = np.frombuffer(firsts, dtype=np.intc)
+            slot_rows = np.frombuffer(slots, dtype=np.intc)
+            chunks = -(-len(firsts) // min(_BATCH_MAX_ROWS, _BATCH_MAX_TASKS // width))
+            size = -(-len(firsts) // chunks)
+            for at in range(0, len(firsts), size):
+                stack = vectorized.fptas_rows(
+                    releases, deadlines, workloads, first_rows[at:at + size],
+                    width, platform,
+                )
+                priced = _price_rows(stack, platform, epsilon)
+                for column, values in zip(columns, priced):
+                    np.frombuffer(column)[slot_rows[at:at + size]] = values
+            continue
+        for lo, slot in zip(firsts, slots):
+            hi = lo + width
+            # A pricer over the block's own slice keeps the edge-independent
+            # columns O(width) instead of O(n) per solve.
+            block_energy = _columns_block_pricer(
+                releases[lo:hi], deadlines[lo:hi], workloads[lo:hi], platform
+            )
+            priced = _price_block_discrete(
+                lambda s, e: block_energy(0, width, s, e),
+                releases[lo],
+                deadlines[hi - 1],
+                _grid_step(epsilon, max(workloads[lo:hi]) / s_up),
+                start_hi=deadlines[lo],
+                end_lo=releases[hi - 1],
+            )
+            if priced is not None:
+                for column, value in zip(columns, priced):
+                    column[slot] = value
+    return _SpanPrices(energy, start, end)
+
+
+def _partition_blocks(
+    releases: Sequence[float],
+    deadlines: Sequence[float],
+    workloads: Sequence[float],
+    platform: Platform,
+    bounds: Sequence[int],
+    epsilon: float,
+    overhead: float,
+    *,
+    intervals: bool,
+) -> Iterator[Tuple[int, int, float, float, float]]:
+    """The fptas partition's blocks as ``(lo, hi, energy, start, end)``.
+
+    Blocks come in task order, cluster by cluster.  ``start`` / ``end``
+    are the busy interval of a multi-task block when ``intervals`` is set
+    and NaN otherwise; single-task blocks are placed by their closed form.
+    """
+    delta = _rounding_delta(epsilon)
+    prices = _price_spans(
+        releases, deadlines, workloads, platform, bounds, epsilon, intervals=intervals
+    )
+    base = 0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        m = b - a
+        if m == 1:
+            energy = _singleton_energy(releases[a], deadlines[a], workloads[a], platform)
+            yield a, b, energy, math.nan, math.nan
+            continue
+        for p, q, energy in _cluster_partition(m, prices.energy, base, overhead, delta):
+            if intervals and q - p > 1:
+                slot = base + _span_slot(p, q)
+                yield a + p, a + q, energy, prices.start[slot], prices.end[slot]
+            else:
+                yield a + p, a + q, energy, math.nan, math.nan
+        base += _span_slot(0, m + 1)
+
+
 def solve_agreeable_fptas_columns(
     releases: Sequence[float],
     deadlines: Sequence[float],
@@ -774,15 +1045,18 @@ def solve_agreeable_fptas_columns(
 ) -> Dict[str, object]:
     """Array-only agreeable fptas for huge n (10^3–10^5 tasks).
 
-    Takes the trace as parallel columns in agreeable order and returns a
+    Takes the trace as parallel columns of Python floats (as
+    :func:`repro.workloads.synthetic.agreeable_trace` returns them) in
+    agreeable order and returns a
     summary dict (``energy``, ``num_blocks``, ``clusters``,
     ``max_cluster_size``) without ever materializing per-task Python
     objects: singleton clusters — the vast majority on sporadic traces —
     take one closed-form evaluation each, and the O(m^2) grid-priced DP
     runs only inside multi-task clusters on index slices.  Both paths
-    share the scalar pricing evaluator, so energies are float-identical
+    share one span pricer (:func:`_price_spans`), whose batched and
+    scalar branches give the same floats, so energies are float-identical
     with :func:`solve_agreeable_fptas` on the same trace and independent
-    of the numeric backend (the bench's huge-n slice checks this).
+    of the numeric backend (the bench's huge-n slice checks both).
     """
     eps = _validate_epsilon(get_solver_epsilon() if epsilon is None else epsilon)
     n = len(releases)
@@ -791,7 +1065,6 @@ def solve_agreeable_fptas_columns(
     core = platform.core
     memory = platform.memory
     overhead = memory.transition_energy() if include_transition_overhead else 0.0
-    delta = _rounding_delta(eps)
     if n == 0:
         return {
             "n": 0,
@@ -817,51 +1090,14 @@ def solve_agreeable_fptas_columns(
         prev_deadline = deadlines[i]
 
     bounds = _split_indices(releases, deadlines, memory.alpha_m, overhead, memory.xi_m)
-    block_energy = _columns_block_pricer(releases, deadlines, workloads, platform)
     total = 0.0
     num_blocks = 0
-    max_cluster = 0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        m = b - a
-        if m > max_cluster:
-            max_cluster = m
-        if m == 1:
-            total += (
-                _singleton_energy(releases[a], deadlines[a], workloads[a], platform)
-                + overhead
-            )
-            num_blocks += 1
-            continue
-
-        def price(p: int, q: int, _a: int = a) -> Optional[Tuple[float, object]]:
-            lo, hi = _a + p, _a + q
-            width = q - p
-            if width == 1:
-                return (
-                    _singleton_energy(
-                        releases[lo], deadlines[lo], workloads[lo], platform
-                    ),
-                    None,
-                )
-            start_lo = releases[lo]
-            end_hi = deadlines[hi - 1]
-            min_busy = max(workloads[lo:hi]) / core.s_up
-            step = _grid_step(eps, min_busy)
-            priced = _price_block_discrete(
-                lambda s, e: block_energy(lo, hi, s, e),
-                start_lo,
-                end_hi,
-                step,
-                start_hi=deadlines[lo],
-                end_lo=releases[hi - 1],
-            )
-            if priced is None:
-                return None
-            return priced[0], None
-
-        for _p, _q, energy, _payload in _cluster_partition(m, price, overhead, delta):
-            total += energy + overhead
-            num_blocks += 1
+    for _lo, _hi, energy, _start, _end in _partition_blocks(
+        releases, deadlines, workloads, platform, bounds, eps, overhead, intervals=False
+    ):
+        total += energy + overhead
+        num_blocks += 1
+    max_cluster = max(b - a for a, b in zip(bounds[:-1], bounds[1:]))
     return {
         "n": n,
         "epsilon": eps,

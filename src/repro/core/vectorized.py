@@ -20,6 +20,10 @@ This module provides the batched counterparts:
   ``repro.core.blocks._block_energy_uncached`` evaluated at a whole array
   of ``(row, start, end)`` candidates in one shot
   (:func:`block_energy_batch` is its one-task-set wrapper);
+* :class:`FptasRows` / :func:`fptas_rows` /
+  :func:`fptas_block_energy_rows` -- the fptas tier's block evaluator
+  over same-width block stacks, returning the scalar evaluator's floats
+  exactly;
 * :func:`placement_rows` -- the per-task best-response placements behind
   ``_placements_at``, from the same rows kernel (:func:`placement_arrays`
   wraps it for one busy interval);
@@ -51,6 +55,7 @@ import os
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 try:  # numpy is an optional accelerator, never a hard dependency
@@ -79,6 +84,9 @@ __all__ = [
     "prefetch_block_arrays",
     "block_energy_batch",
     "block_energy_rows",
+    "FptasRows",
+    "fptas_rows",
+    "fptas_block_energy_rows",
     "placement_arrays",
     "placement_rows",
     "schedule_geometry_arrays",
@@ -464,6 +472,205 @@ def block_energy_batch(
     """Block energies of one task set at K candidate busy intervals
     (:func:`block_energy_rows` over its one-row stack)."""
     return block_energy_rows(block_rows(tasks), platform, None, starts, ends)
+
+
+@dataclass(frozen=True)
+class FptasRows:
+    """G same-width fptas blocks as ``(G, m)`` column-major stacks.
+
+    ``columns`` has shape ``(7, m, G)``: seven per-task fields, each stored
+    transposed as ``(m, G)`` so task position ``j`` of every block is one
+    contiguous row and the evaluator walks task positions in order; one
+    gather serves every field.  The fields are the releases, deadlines
+    and workloads, then the edge-independent quantities of
+    ``repro.core.fptas._columns_block_pricer`` -- the minimum duration, the
+    feasibility floor, the natural duration -- and the energy term at the
+    natural duration (see :func:`fptas_rows`).
+    """
+
+    columns: "np.ndarray"
+
+    @property
+    def releases(self) -> "np.ndarray":
+        return self.columns[0]
+
+    @property
+    def deadlines(self) -> "np.ndarray":
+        return self.columns[1]
+
+    @property
+    def workloads(self) -> "np.ndarray":
+        return self.columns[2]
+
+
+#: Most task elements (candidates x block width) one pass of
+#: :func:`fptas_block_energy_rows` holds; larger candidate sets are priced
+#: in slices, which bounds the evaluator's temporaries.
+_FPTAS_SLICE_ELEMENTS = 2048
+
+#: Candidate counts are padded to a multiple of this, so the evaluator's
+#: temporaries come in few sizes (see :func:`fptas_block_energy_rows`).
+_FPTAS_QUANTUM = 16
+
+
+def _python_powers(bases: "np.ndarray", exponent: float) -> "np.ndarray":
+    """``bases ** exponent`` through Python's float ``**`` (C library ``pow``).
+
+    numpy's float64 ``power`` differs from it in the last bit on a few
+    percent of inputs, so terms that must equal the scalar evaluator's
+    take their powers here.
+    """
+    return np.fromiter(
+        map(pow, bases.tolist(), repeat(exponent, bases.shape[0])),
+        dtype=np.float64,
+        count=bases.shape[0],
+    )
+
+
+def fptas_rows(
+    releases: Sequence[float],
+    deadlines: Sequence[float],
+    workloads: Sequence[float],
+    firsts: "np.ndarray",
+    width: int,
+    platform: Platform,
+) -> FptasRows:
+    """The stack of trace blocks ``[firsts[g], firsts[g] + width)``.
+
+    The block tasks are read straight from the trace columns, so no
+    whole-trace array is built.  The derived fields repeat
+    ``repro.core.fptas._columns_block_pricer`` operation for operation
+    (IEEE divide, multiply, subtract, min and max round as in Python), and
+    the natural-duration term is the scalar evaluator's expression with
+    its power taken by :func:`_python_powers`, so every field holds the
+    floats the scalar pricer computes.
+    """
+    core = platform.core
+    index = (np.arange(width)[:, None] + firsts[None, :]).ravel().tolist()
+    r, d, w = (
+        np.fromiter(map(column.__getitem__, index), dtype=np.float64, count=len(index))
+        .reshape(width, -1)
+        for column in (releases, deadlines, workloads)
+    )
+    min_durations = w / core.s_up
+    natural = np.maximum(
+        w / np.minimum(np.maximum(core.s_m, w / (d - r)), core.s_up), min_durations
+    )
+    speed = w / natural
+    powers = _python_powers(speed.ravel(), core.lam).reshape(speed.shape)
+    return FptasRows(
+        np.stack(
+            [
+                r,
+                d,
+                w,
+                min_durations,
+                min_durations * (1.0 - 1e-12) - 1e-12,
+                natural,
+                (core.alpha + core.beta * powers) * w / speed,
+            ]
+        )
+    )
+
+
+def fptas_block_energy_rows(
+    rows: FptasRows,
+    platform: Platform,
+    row_of: "np.ndarray",
+    starts: "np.ndarray",
+    ends: "np.ndarray",
+) -> "np.ndarray":
+    """Fptas block energies at K candidate busy intervals, as a ``(K,)`` vector.
+
+    Candidate ``k`` prices block ``row_of[k]`` of ``rows`` at ``[starts[k],
+    ends[k]]``.  Array transcription of the scalar ``block_energy`` closure
+    of ``repro.core.fptas._columns_block_pricer`` that returns its floats
+    exactly, so the batched and per-block fptas pricers can share one
+    partition:
+
+    * the energy and violation sums add the task columns one at a time in
+      task order, as the scalar ``total += ...`` / ``violation += ...``
+      loop does (an infeasible task adds ``0.0`` to the energy, a feasible
+      one ``0.0`` to the violation -- both no-ops);
+    * a task running at its natural duration takes its precomputed term;
+      only the "fresh" terms, whose duration is the clipped window (every
+      feasible term when ``alpha == 0``), are priced here, their powers by
+      :func:`_python_powers`.  Every other operation is an IEEE add,
+      subtract, multiply, divide, min, max or comparison, which numpy
+      rounds exactly as Python does.
+    """
+    count = row_of.shape[0]
+    if count == 0:
+        return np.empty(0)
+    # Pad to whole quanta (repeating the last candidate) so the temporaries
+    # come in a few sizes: numpy keeps freed buffers below 1 KiB in a
+    # per-size cache, and a lockstep search that shrinks through every
+    # candidate count would otherwise fill it with megabytes.
+    padded = -(-count // _FPTAS_QUANTUM) * _FPTAS_QUANTUM
+    row_of, starts, ends = (_pad_repeat(a, padded) for a in (row_of, starts, ends))
+    size = max(_FPTAS_SLICE_ELEMENTS // (rows.columns.shape[1] * _FPTAS_QUANTUM), 1)
+    size *= _FPTAS_QUANTUM
+    if padded <= size:
+        return _fptas_energy_slice(rows, platform, row_of, starts, ends)[:count]
+    return np.concatenate(
+        [
+            _fptas_energy_slice(
+                rows, platform, row_of[at:at + size], starts[at:at + size],
+                ends[at:at + size],
+            )
+            for at in range(0, padded, size)
+        ]
+    )[:count]
+
+
+def _pad_repeat(values: "np.ndarray", size: int) -> "np.ndarray":
+    """``values`` extended to ``size`` entries by repeating its last one."""
+    out = np.empty(size, dtype=values.dtype)
+    out[: values.shape[0]] = values
+    out[values.shape[0]:] = values[-1]
+    return out
+
+
+def _fptas_energy_slice(
+    rows: FptasRows,
+    platform: Platform,
+    row_of: "np.ndarray",
+    starts: "np.ndarray",
+    ends: "np.ndarray",
+) -> "np.ndarray":
+    core = platform.core
+    alpha, beta = core.alpha, core.beta
+    releases, deadlines, workloads, min_durations, slack_floors, natural, natural_terms = (
+        rows.columns[:, :, row_of]
+    )
+    # min/max of the scalar `x if x < y else y` clamps: equal operands are
+    # the same float (no NaNs; a signed zero cancels in the window).
+    window = np.minimum(deadlines, ends) - np.maximum(releases, starts)
+    infeasible = window < slack_floors
+    violations = np.where(infeasible, min_durations - window, 0.0)
+    window = np.maximum(window, min_durations)
+    # In-place mask algebra: every small boolean temporary would linger in
+    # numpy's per-size cache of freed buffers.
+    if alpha == 0.0:
+        terms = np.zeros_like(window)
+        stale = infeasible
+    else:
+        stale = natural < window
+        terms = np.where(stale, natural_terms, 0.0)
+        stale |= infeasible
+    fresh = np.flatnonzero(np.logical_not(stale, out=stale))
+    fresh_workloads = workloads.take(fresh)
+    speeds = fresh_workloads / window.take(fresh)
+    terms.put(
+        fresh,
+        (alpha + beta * _python_powers(speeds, core.lam)) * fresh_workloads / speeds,
+    )
+    total = platform.memory.alpha_m * (ends - starts) + terms[0]
+    violation = violations[0]
+    for j in range(1, terms.shape[0]):
+        total = total + terms[j]
+        violation = violation + violations[j]
+    return np.where(violation > 0.0, _PENALTY * (1.0 + violation), total)
 
 
 def placement_rows(

@@ -441,8 +441,10 @@ def run_bench_huge_n(
     * the fptas tier solves it at every ε via the columns path, checking
       the (1+ε) energy bound wherever the exact energy is known;
     * while ``n`` is small enough, the object-path fptas re-solves the
-      same trace and its energy must be float-identical to the columns
-      path (``rows_identical`` -- both share one scalar evaluator).
+      same trace, and so does the columns path under the scalar backend;
+      both energies must be float-identical to the columns path's
+      (``rows_identical`` -- one span pricer, whose batched numpy branch
+      reproduces the scalar one).
 
     The report records the measured exact-vs-fptas wall crossover (the
     smallest measured ``n`` where the first ε's fptas solve is faster
@@ -537,9 +539,18 @@ def run_bench_huge_n(
                     platform,
                     epsilon=epsilon,
                 )
+                previous = vectorized.get_backend_override()
+                vectorized.set_backend("scalar")
+                try:
+                    reference = solve_agreeable_fptas_columns(
+                        releases, deadlines, workloads, platform, epsilon=epsilon
+                    )
+                finally:
+                    vectorized.set_backend(previous)
                 identical = (
                     obj.predicted_energy == cols["energy"]
                     and obj.num_blocks == cols["num_blocks"]
+                    and reference["energy"] == cols["energy"]
                 )
                 entry["rows_identical"] = identical
                 all_identical = all_identical and identical
@@ -618,7 +629,7 @@ def render_bench_huge_n_table(report: Dict[str, object]) -> str:
         lines.append(f"crossover: {crossover.get('note', 'not measured')}")
     lines.append(
         f"(1+eps) bound held everywhere measured: {report['bound_ok']}; "
-        f"columns/object fptas identical: {report['rows_identical']}"
+        f"columns/object/scalar fptas identical: {report['rows_identical']}"
     )
     return "\n".join(lines)
 

@@ -110,6 +110,7 @@ class SolveService:
         self.batch_window_ms = batch_window_ms
         self.max_batch = max_batch
         self._draining = False
+        self._drain_task: Optional[asyncio.Task] = None
         self._wakes: List[asyncio.Event] = []
         self._loops: List[asyncio.Task] = []
         self._inflight: Set[asyncio.Task] = set()
@@ -137,9 +138,20 @@ class SolveService:
         Every loop exits only at depth zero and ``_inflight`` is awaited,
         so each admitted request gets its terminal response; executor memo
         stats are then flushed into per-shard gauges, and only then are the
-        executors shut down.
+        executors shut down.  Idempotent: a drain already under way (say,
+        one a ``drain`` request started before SIGTERM arrives) is awaited,
+        never run twice.
         """
-        self._draining = True
+        await self._start_drain()
+
+    def _start_drain(self) -> "asyncio.Task":
+        """The one drain task, started on first use."""
+        if self._drain_task is None:
+            self._draining = True
+            self._drain_task = asyncio.ensure_future(self._drain())
+        return self._drain_task
+
+    async def _drain(self) -> None:
         for wake in self._wakes:
             wake.set()
         await asyncio.gather(*self._loops)
@@ -191,7 +203,7 @@ class SolveService:
             hit = self.queue.cancel(str(target)) if target is not None else False
             return protocol.ok_response(request_id, {"cancelled": hit})
         if kind == "drain":
-            asyncio.create_task(self.drain())
+            self._start_drain()
             return protocol.ok_response(request_id, {"draining": True})
         if kind != "solve":
             return protocol.error_response(

@@ -23,7 +23,7 @@ unit performed (see docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 try:  # the batched primitives need numpy; everything scalar does not
     import numpy as _np
@@ -357,7 +357,7 @@ def golden_section_minimize_batch(
     lo: Sequence[float],
     hi: Sequence[float],
     *,
-    tol: float = 1e-10,
+    tol: Union[float, Sequence[float]] = 1e-10,
     max_iter: int = 200,
 ) -> Tuple["_np.ndarray", "_np.ndarray"]:
     """Minimize K unimodal functions on per-problem intervals.
@@ -365,9 +365,12 @@ def golden_section_minimize_batch(
     Batched transcription of :func:`golden_section_minimize`: per-problem
     best-ever tracking, the same endpoint/midpoint candidate sweep at the
     end, and degenerate intervals (``hi - lo <= tol``) short-circuiting to
-    their midpoint evaluation.  Each iteration issues one ``func`` call
-    covering every still-active problem's single new probe.  Returns
-    ``(argmins, values)``.
+    their midpoint evaluation.  ``tol`` is one tolerance for every problem
+    or one per problem.  Each iteration issues one ``func`` call covering
+    every still-active problem's single new probe.  Returns ``(argmins,
+    values)``; wherever ``func`` returns the scalar objective's floats,
+    each problem's pair is the one :func:`golden_section_minimize` returns
+    with that problem's ``tol``.
     """
     np = _require_numpy("golden_section_minimize_batch")
     lo = np.asarray(lo, dtype=np.float64)
@@ -378,6 +381,7 @@ def golden_section_minimize_batch(
     record_solver_call("golden_section_batch")
     k = lo.shape[0]
     all_idx = np.arange(k)
+    tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), (k,))
     degenerate = hi - lo <= tol
     best_x = np.empty(k, dtype=np.float64)
     best_f = np.full(k, math.inf, dtype=np.float64)
@@ -401,14 +405,15 @@ def golden_section_minimize_batch(
     best_x[live] = cur_x
     best_f[live] = cur_f
     active = np.ones(live.shape[0], dtype=bool)
+    live_tol = tol[live]
     for _ in range(max_iter):
-        active &= b - a > tol
+        active &= b - a > live_tol
         if not active.any():
             break
         sel = np.flatnonzero(active)
         shrink_right = f1[sel] <= f2[sel]
         r = sel[shrink_right]
-        l = sel[~shrink_right]
+        l = sel[np.logical_not(shrink_right, out=shrink_right)]
         # f1 <= f2: drop [x2, b]; the old x1 becomes the new x2.
         b[r] = x2[r]
         x2[r] = x1[r]
@@ -424,12 +429,12 @@ def golden_section_minimize_batch(
         values = func(probes, owners)
         f1[r] = values[: r.shape[0]]
         f2[l] = values[r.shape[0]:]
-        improved_r = f1[r] < best_f[live[r]]
-        best_x[live[r[improved_r]]] = x1[r[improved_r]]
-        best_f[live[r[improved_r]]] = f1[r[improved_r]]
-        improved_l = f2[l] < best_f[live[l]]
-        best_x[live[l[improved_l]]] = x2[l[improved_l]]
-        best_f[live[l[improved_l]]] = f2[l[improved_l]]
+        up = r[f1[r] < best_f[live[r]]]
+        best_x[live[up]] = x1[up]
+        best_f[live[up]] = f1[up]
+        up = l[f2[l] < best_f[live[l]]]
+        best_x[live[up]] = x2[up]
+        best_f[live[up]] = f2[up]
     # Endpoint / midpoint candidates, exactly as the scalar sweep.
     mids = 0.5 * (a + b)
     probes = np.concatenate([mids, lo[live], hi[live]])

@@ -7,6 +7,8 @@ Deterministic tests for :mod:`repro.core.fptas`; the randomized
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import vectorized
@@ -30,6 +32,7 @@ from repro.core.fptas import (
 from repro.core.transition import solve_common_release_with_overhead
 from repro.experiments.cache import service_request_key, unit_key
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
+from repro.models.platform import paper_platform
 from repro.schedule import validate_schedule
 from repro.service.protocol import (
     E_BAD_REQUEST,
@@ -37,6 +40,7 @@ from repro.service.protocol import (
     execute_request,
     request_from_wire,
 )
+from repro.utils.solvers import reset_solver_counts, solver_call_counts
 from repro.workloads.synthetic import agreeable_trace
 
 
@@ -370,6 +374,87 @@ class TestColumnsPath:
         result = solve_agreeable_fptas_columns([], [], [], make_platform())
         assert result["energy"] == 0.0
         assert result["num_blocks"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Batched span pricer: the scalar pricer's floats at a scale that batches
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def batching_trace():
+    """n = 2000 tasks: widths 2 to 8 have at least 64 spans each, so the
+    numpy backend batches them, while the wider ones keep the scalar
+    pricer -- one solve mixes both branches."""
+    releases, deadlines, workloads = agreeable_trace(
+        n=2000, max_interarrival=120.0, seed=3
+    )
+    tasks = TaskSet.presorted(
+        tuple(
+            Task(r, d, w, f"H{i}")
+            for i, (r, d, w) in enumerate(zip(releases, deadlines, workloads))
+        )
+    )
+    return releases, deadlines, workloads, tasks
+
+
+def _identity_platform(name):
+    # A short break-even time keeps the overhead-on clusters small enough
+    # for the scalar reference to stay quick.
+    paper = paper_platform(xi_m=5.0)
+    if name == "paper":
+        return paper
+    return Platform(replace(paper.core, alpha=0.0, lam=2.0), paper.memory)
+
+
+@pytest.mark.skipif(not vectorized.HAS_NUMPY, reason="numpy backend unavailable")
+class TestBatchedPricer:
+    @pytest.mark.parametrize("overhead", [False, True])
+    @pytest.mark.parametrize("eps", [0.1, 0.02])
+    @pytest.mark.parametrize("platform_name", ["paper", "alpha0-lam2"])
+    def test_backends_price_identically(
+        self, batching_trace, platform_name, eps, overhead
+    ):
+        releases, deadlines, workloads, tasks = batching_trace
+        platform = _identity_platform(platform_name)
+        backends = ["scalar", "numpy"]
+        if "jit" in vectorized.available_backends():
+            backends.append("jit")
+        solved = {}
+        for backend in backends:
+            vectorized.set_backend(backend)
+            reset_solver_counts()
+            solution = solve_agreeable_fptas(
+                tasks, platform, epsilon=eps, include_transition_overhead=overhead
+            )
+            batched = solver_call_counts().get("golden_section_batch", 0)
+            assert (batched > 0) == (backend != "scalar")
+            solved[backend] = (
+                solution.predicted_energy,
+                solution.num_blocks,
+                [(b.start, b.end, b.energy) for b in solution.blocks],
+            )
+        for backend in backends[1:]:
+            assert solved[backend] == solved["scalar"], backend
+        columns = solve_agreeable_fptas_columns(
+            releases, deadlines, workloads, platform,
+            epsilon=eps, include_transition_overhead=overhead,
+        )
+        assert (columns["energy"], columns["num_blocks"]) == solved["scalar"][:2]
+
+    def test_small_solves_stay_scalar(self):
+        vectorized.set_backend("numpy")
+        releases, deadlines, workloads = agreeable_trace(
+            n=32, max_interarrival=20.0, seed=5
+        )
+        reset_solver_counts()
+        result = solve_agreeable_fptas_columns(
+            releases, deadlines, workloads, make_platform(), epsilon=0.1
+        )
+        assert result["max_cluster_size"] > 2
+        counts = solver_call_counts()
+        assert counts.get("golden_section", 0) > 0
+        assert counts.get("golden_section_batch", 0) == 0
 
 
 # ---------------------------------------------------------------------------

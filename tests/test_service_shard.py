@@ -231,6 +231,35 @@ class TestDrain:
         assert 'repro_shard_block_arrays_cached{shard="1"}' in text
         assert 'repro_shard_worker_pid{shard=' in text
 
+    def test_drain_request_then_signal_drain_stops_each_worker_once(self, tmp_path):
+        # `repro serve` drains on SIGTERM even after a `drain` request has
+        # already stopped the workers; that second drain must do nothing.
+        cache = ResultCache(str(tmp_path / "cache-twice"))
+
+        async def body():
+            service = SolveService(shards=2, cache=cache, batch_window_ms=0.0)
+            await service.start()
+            stopped = []
+            for index, executor in enumerate(service.executors):
+                def counted(*args, _index=index, _stop=executor.shutdown, **kwargs):
+                    stopped.append(_index)
+                    return _stop(*args, **kwargs)
+
+                executor.shutdown = counted
+            response = await service.handle_message({"kind": "drain", "id": "d"})
+            assert response["ok"] is True
+            for _ in range(500):  # let the requested drain finish
+                if len(stopped) == len(service.executors):
+                    break
+                await asyncio.sleep(0.01)
+            assert sorted(stopped) == [0, 1]
+            await asyncio.wait_for(service.drain(), timeout=60)
+            return service, stopped
+
+        service, stopped = run(body())
+        assert service.metrics.counter("repro_errors_total").value == 0
+        assert sorted(stopped) == [0, 1]
+
 
 class TestWorkerLoss:
     @pytest.mark.skipif(

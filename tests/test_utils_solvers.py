@@ -247,3 +247,43 @@ class TestGoldenSectionMinimizeBatch:
         s_x, s_v = golden_section_minimize(lambda x: -x, 0.0, 10.0)
         assert xs[0] == pytest.approx(s_x, abs=1e-9)
         assert values[0] == pytest.approx(s_v, abs=1e-9)
+
+    def test_per_problem_tol_matches_scalar_bit_for_bit(self):
+        # A kinked objective built from IEEE add / multiply / abs only, so
+        # numpy and Python round every probe alike; some intervals are
+        # degenerate (hi - lo <= tol) and short-circuit to their midpoint.
+        rng = np.random.default_rng(7)
+        k = 64
+        lo = rng.uniform(-50.0, 50.0, k)
+        hi = lo + rng.uniform(0.0, 30.0, k)
+        tol = 10.0 ** rng.uniform(-12.0, 1.0, k)
+        hi[:8] = lo[:8] + tol[:8] * rng.uniform(0.0, 1.0, 8)
+        centers = rng.uniform(-60.0, 60.0, k)
+        kinks = rng.uniform(-60.0, 60.0, k)
+
+        def batch(xs, idx):
+            return 0.3 * (xs - centers[idx]) * (xs - centers[idx]) + np.abs(
+                xs - kinks[idx]
+            )
+
+        xs, values = golden_section_minimize_batch(batch, lo, hi, tol=tol)
+        for i in range(k):
+            c, kink = float(centers[i]), float(kinks[i])
+            s_x, s_v = golden_section_minimize(
+                lambda x: 0.3 * (x - c) * (x - c) + abs(x - kink),
+                float(lo[i]),
+                float(hi[i]),
+                tol=float(tol[i]),
+            )
+            assert (float(xs[i]), float(values[i])) == (s_x, s_v)
+
+    def test_scalar_tol_still_accepted(self):
+        lo, hi = [0.0, 1.0], [4.0, 9.0]
+
+        def family(xs, idx):
+            return (xs - 2.5) ** 2
+
+        shared = golden_section_minimize_batch(family, lo, hi, tol=1e-6)
+        spread = golden_section_minimize_batch(family, lo, hi, tol=[1e-6, 1e-6])
+        assert np.array_equal(shared[0], spread[0])
+        assert np.array_equal(shared[1], spread[1])
