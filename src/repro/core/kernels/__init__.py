@@ -1,25 +1,24 @@
 """Compiled solver kernels backing the ``REPRO_NUMERIC=jit`` backend.
 
-This package owns every numba/cffi import in the tree (lint rule BCK004
-enforces that) and hides provider selection behind a tiny protocol:
+This package owns every cffi import in the tree (lint rule BCK004
+enforces that) and hides the compiled provider behind a tiny protocol:
 
-* :func:`load` resolves a provider once per process -- numba preferred,
-  cffi-compiled C as fallback -- and **self-checks** it against the pure
-  Python references before accepting it.  A provider whose output drifts
-  from the reference by even one bit on the row-identity-critical kernels
-  is demoted, so "jit available" always implies "jit agrees".
+* :func:`load` builds the cffi-compiled C provider once per process and
+  **self-checks** it against the pure Python references before accepting
+  it.  A build whose output drifts from the reference by even one bit on
+  the row-identity-critical kernels is rejected, so "jit available"
+  always implies "jit agrees".
 * :func:`available` / :func:`load_error` report the outcome;
   :func:`warm_up` forces compilation outside timed regions;
   :func:`cache_dir` / :func:`clear` manage the on-disk compile cache.
 * The module-level wrappers (:func:`overhead_solve_small`,
   :func:`block_energy`, :func:`block_energy_batch`,
-  :func:`solve_block_descent`, :func:`overhead_energy_small`,
-  :func:`powersum_roots`) adapt task-set/platform objects to the raw
-  array protocol, caching the flattened platform parameters.
+  :func:`solve_block_descent`, :func:`powersum_roots`) adapt
+  task-set/platform objects to the raw array protocol, caching the
+  flattened platform parameters.
 
-The package deliberately uses no numpy of its own (the providers handle
-their array layouts), so the jit backend still functions -- and degrades
-cleanly -- on hosts without numpy.
+The package deliberately uses no numpy of its own, so the jit backend
+still functions -- and degrades cleanly -- on hosts without numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from repro.core.kernels._csource import REPRO_KERNELS_ABI, REPRO_MAX_SMALL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.vectorized import OverheadScan
     from repro.models.platform import Platform
     from repro.models.task import TaskSet
 
@@ -45,7 +43,6 @@ __all__ = [
     "clear",
     "load",
     "load_error",
-    "overhead_energy_small",
     "overhead_solve_small",
     "powersum_roots",
     "provider_name",
@@ -208,15 +205,20 @@ def _self_check(provider: Any) -> Optional[str]:
 
     from repro.utils.solvers import bisect_increasing
 
+    # Both root modes blocks._sweep_cells_alpha_zero_numpy uses: mode 0
+    # is the head slope over deadlines, mode 1 the tail condition over
+    # (staggered) releases.
     deadlines = [t.deadline for t in tasks]
+    releases = [0.0, 5.0, 12.0]
     workloads = [t.workload for t in tasks]
     lam = platform.core.lam
     target = 4.0e9
-    mask = bytes([1, 1, 0])
+    head_mask = bytes([1, 1, 0])
+    tail_mask = bytes([0, 1, 1])
 
     def head_slope(start: float) -> float:
         acc = 0.0
-        for flag, d, w in zip(mask, deadlines, workloads):
+        for flag, d, w in zip(head_mask, deadlines, workloads):
             if not flag:
                 continue
             length = d - start
@@ -225,38 +227,48 @@ def _self_check(provider: Any) -> Optional[str]:
             acc += (w / length) ** lam
         return acc - target
 
-    expected_root = bisect_increasing(head_slope, 0.0, deadlines[0])
-    got_root = provider.powersum_roots(
-        deadlines, workloads, mask, 1, [0.0], [deadlines[0]], target, lam,
-        0, 1e-12, 200,
-    )[0]
-    if abs(got_root - expected_root) > 1e-9:
-        return f"powersum_roots mismatch: {got_root!r} != {expected_root!r}"
+    def tail_condition(end: float) -> float:
+        acc = 0.0
+        for flag, r, w in zip(tail_mask, releases, workloads):
+            if not flag:
+                continue
+            length = end - r
+            if length <= 0.0:
+                return float("-inf")
+            acc += (w / length) ** lam
+        return target - acc
+
+    root_probes = (
+        (0, deadlines, head_mask, head_slope, 0.0, deadlines[0]),
+        (1, releases, tail_mask, tail_condition, releases[-1], tasks.latest_deadline),
+    )
+    for mode, values, mask, closure, lo, hi in root_probes:
+        expected_root = bisect_increasing(closure, lo, hi)
+        got_root = provider.powersum_roots(
+            values, workloads, mask, 1, [lo], [hi], target, lam, mode, 1e-12, 200
+        )[0]
+        if abs(got_root - expected_root) > 1e-9:
+            return (
+                f"powersum_roots mode {mode} mismatch: "
+                f"{got_root!r} != {expected_root!r}"
+            )
     return None
 
 
 def _resolve_provider() -> Tuple[Optional[Any], Optional[str]]:
-    errors: List[str] = []
-    for label, factory in (
-        ("numba", "_numba_provider"),
-        ("cffi", "_cffi_provider"),
-    ):
-        try:
-            module = __import__(
-                f"repro.core.kernels.{factory}", fromlist=["build"]
-            )
-            candidate = module.build()
-        except Exception as exc:  # pragma: no cover - provider-dependent
-            errors.append(f"{label}: {type(exc).__name__}: {exc}")
-            continue
-        try:
-            failure = _self_check(candidate)
-        except Exception as exc:  # pragma: no cover - provider-dependent
-            failure = f"self-check raised {type(exc).__name__}: {exc}"
-        if failure is None:
-            return candidate, None
-        errors.append(f"{label}: {failure}")  # pragma: no cover
-    return None, "; ".join(errors) if errors else "no providers registered"
+    try:
+        from repro.core.kernels._cffi_provider import build
+
+        candidate = build()
+    except Exception as exc:  # pragma: no cover - toolchain-dependent
+        return None, f"cffi: {type(exc).__name__}: {exc}"
+    try:
+        failure = _self_check(candidate)
+    except Exception as exc:  # pragma: no cover - toolchain-dependent
+        failure = f"self-check raised {type(exc).__name__}: {exc}"
+    if failure is None:
+        return candidate, None
+    return None, f"cffi: {failure}"  # pragma: no cover
 
 
 def load() -> bool:
@@ -280,7 +292,7 @@ def available() -> bool:
 
 
 def provider_name() -> Optional[str]:
-    """``"numba"`` / ``"cffi"`` after a successful load, else ``None``."""
+    """``"cffi"`` after a successful load, else ``None``."""
     return getattr(_provider, "name", None) if load() else None
 
 
@@ -298,7 +310,7 @@ def clear() -> None:
     """
     global _provider, _load_attempted, _load_error, _last_platform, _last_params
     with _lock:
-        if _provider is not None and hasattr(_provider, "clear_caches"):
+        if _provider is not None:
             _provider.clear_caches()
         _provider = None
         _load_attempted = False
@@ -321,7 +333,7 @@ def cache_dir() -> Optional[str]:
 def warm_up() -> Optional[str]:
     """Force provider resolution + compilation now; returns provider name.
 
-    Benches call this before timing so first-call JIT/compile cost never
+    Benches call this before timing so first-call compile cost never
     pollutes measured numbers.  Harmless no-op when jit is unavailable.
     """
     if not load():
@@ -411,29 +423,6 @@ def solve_block_descent(
         starts,
         tol,
         max_rounds,
-    )
-
-
-def overhead_energy_small(
-    scan: "OverheadScan",
-    platform: "Platform",
-    rel_end: float,
-    deltas: Sequence[float],
-) -> List[float]:
-    """Compiled scan-objective evaluation at each candidate delta."""
-    assert _provider is not None
-    return _provider.overhead_energy_small(
-        scan.ends,
-        scan.prefix_ends,
-        scan.prefix_beta_nat,
-        scan.prefix_gap_nat,
-        scan.prefix_overspeed,
-        scan.suffix_wlam,
-        scan.suffix_max_w,
-        scan.horizon,
-        _platform_params(platform),
-        rel_end,
-        deltas,
     )
 
 

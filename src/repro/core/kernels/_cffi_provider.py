@@ -222,44 +222,6 @@ class CffiKernels:
             best = (best_buf[0], best_buf[1], int(best_buf[2]))
         return horizon, ends, order, best
 
-    def overhead_energy_small(
-        self,
-        ends: Sequence[float],
-        pe: Sequence[float],
-        pb: Sequence[float],
-        pg: Optional[Sequence[float]],
-        po: Optional[Sequence[int]],
-        sw: Sequence[float],
-        sm: Sequence[float],
-        horizon: float,
-        params: Tuple[float, ...],
-        rel_end: float,
-        deltas: Sequence[float],
-    ) -> List[float]:
-        ffi = self._ffi
-        alpha, beta, lam, _s_m, s_up, xi, alpha_m, xi_m = params
-        n = len(ends)
-        k = len(deltas)
-        ends_b = ffi.new("double[]", list(ends))
-        pe_b = ffi.new("double[]", list(pe))
-        pb_b = ffi.new("double[]", list(pb))
-        pg_b = ffi.new("double[]", list(pg)) if pg is not None else ffi.NULL
-        po_b = (
-            ffi.new("long long[]", [int(v) for v in po])
-            if po is not None
-            else ffi.NULL
-        )
-        sw_b = ffi.new("double[]", list(sw))
-        sm_b = ffi.new("double[]", list(sm))
-        deltas_b = ffi.new("double[]", [float(d) for d in deltas])
-        out = ffi.new("double[]", k)
-        self._lib.repro_overhead_energy_small(
-            n, ends_b, pe_b, pb_b, pg_b, po_b, sw_b, sm_b, horizon,
-            alpha, beta, lam, xi, alpha_m, xi_m, s_up,
-            rel_end, k, deltas_b, out,
-        )
-        return list(out[0:k])
-
     def block_energy_batch(
         self,
         sig: Sequence[Tuple[float, float, float]],

@@ -2,11 +2,11 @@
 
 Every function is a line-for-line transcription of a pure-Python reference
 in :mod:`repro.core.vectorized`, :mod:`repro.core.blocks` or
-:mod:`repro.utils.solvers`.  The providers compile this source (cffi) or
-re-derive the same algorithms (numba); either way the load-time self-check
-in :mod:`repro.core.kernels` compares the compiled output against the
-Python references before the provider is accepted, so numerical drift can
-demote a provider but never corrupt results.
+:mod:`repro.utils.solvers`.  :mod:`repro.core.kernels._cffi_provider`
+compiles this source; the load-time self-check in :mod:`repro.core.kernels`
+compares the compiled output against the Python references before the
+build is accepted, so numerical drift can disable the jit tier but never
+corrupt results.
 
 Bit-identity notes (the reason the transcriptions look pedantic):
 
@@ -31,9 +31,11 @@ from __future__ import annotations
 __all__ = ["CDEF", "CSOURCE", "REPRO_KERNELS_ABI", "REPRO_MAX_SMALL"]
 
 #: Bump on any change to the exported C signatures or their semantics.
-REPRO_KERNELS_ABI = 1
+REPRO_KERNELS_ABI = 2
 
-#: Mirrors ``vectorized._SMALL_N`` -- the fused solve only handles small n.
+#: Largest task count the fused overhead solve's stack buffers hold;
+#: ``transition.solve_common_release_with_overhead`` sends larger jit
+#: solves to the Python fused solve instead.
 REPRO_MAX_SMALL = 64
 
 CDEF = """
@@ -44,17 +46,6 @@ int repro_overhead_solve_small(
     double xi, double alpha_m, double xi_m,
     double rel_end,
     double *ends_out, int *order_out, double *best_out);
-
-void repro_overhead_energy_small(
-    int n, const double *ends,
-    const double *pe, const double *pb, const double *pg,
-    const long long *po,
-    const double *sw, const double *sm,
-    double horizon,
-    double alpha, double beta, double lam, double xi,
-    double alpha_m, double xi_m, double s_up,
-    double rel_end,
-    int k, const double *deltas, double *out);
 
 void repro_block_energy_batch(
     int n, const double *rel, const double *dl, const double *wl,
@@ -305,8 +296,7 @@ void repro_solve_block_descent(
 
 /* ---------------------------------------------------------------------
  * Section 7 scan objective at one candidate -- transcribes the fused
- * evaluation inside vectorized.overhead_solve_small (value-identical to
- * vectorized._overhead_energy_small).
+ * evaluation inside vectorized.overhead_solve_small.
  * ------------------------------------------------------------------- */
 static double repro_overhead_objective(
     int n, const double *ends,
@@ -344,30 +334,6 @@ static double repro_overhead_objective(
     }
     if (gapped) energy += pg[k];
     return energy;
-}
-
-void repro_overhead_energy_small(
-    int n, const double *ends,
-    const double *pe, const double *pb, const double *pg,
-    const long long *po,
-    const double *sw, const double *sm,
-    double horizon,
-    double alpha, double beta, double lam, double xi,
-    double alpha_m, double xi_m, double s_up,
-    double rel_end,
-    int k, const double *deltas, double *out)
-{
-    double one_lam = 1.0 - lam;
-    double axi = alpha * xi;
-    double am_xi = alpha_m * xi_m;
-    double up_thresh = s_up * (1.0 + 1e-9);
-    int gapped = pg != 0;
-    int p;
-    for (p = 0; p < k; p++)
-        out[p] = repro_overhead_objective(
-            n, ends, pe, pb, pg, po, sw, sm, horizon,
-            alpha, beta, one_lam, axi, alpha_m, am_xi, up_thresh,
-            gapped, rel_end, deltas[p]);
 }
 
 /* ---------------------------------------------------------------------

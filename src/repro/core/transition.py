@@ -158,7 +158,6 @@ def solve_common_release_with_overhead(
     """
     record_solver_call("overhead_delta")
     core = platform.core
-    memory = platform.memory
     if check_inputs:
         if not tasks.has_common_release():
             raise ValueError(
@@ -168,31 +167,24 @@ def solve_common_release_with_overhead(
             raise ValueError("task set infeasible even at s_up")
 
     release = tasks[0].release
-    lam, beta = core.lam, core.beta
-    backend = vectorized.get_backend()
-    use_jit = backend == "jit"
-    use_numpy = vectorized.HAS_NUMPY if use_jit else backend == "numpy"
     rel_end = (
         tasks.latest_deadline - release
         if horizon_end is None
         else horizon_end - release
     )
     best: Optional[Tuple[float, float, int]] = None
-    fused = (use_numpy or use_jit) and len(tasks) <= vectorized._SMALL_N
-    if fused:
+    backend = vectorized.get_backend()
+    if backend != "scalar":
         # The online replan loop solves thousands of 1-8 task instances;
-        # the fused kernel runs the same geometry / scan / candidate fold
-        # in one frame (identical floats, see its docstring).  The jit
-        # backend swaps in the compiled transcription, which the kernel
-        # self-check pins bit-identical to the Python fused path.
-        if use_jit:
-            horizon, ends, order_idx, best = kernels.overhead_solve_small(
-                tasks, platform, rel_end
-            )
+        # the fused solve runs the same geometry / prefix scan / candidate
+        # fold in one frame.  Under jit the compiled transcription takes
+        # every set its stack buffers hold; the kernel self-check pins it
+        # bit-identical to the Python fused solve.
+        if backend == "jit" and len(tasks) <= kernels.REPRO_MAX_SMALL:
+            solve = kernels.overhead_solve_small
         else:
-            horizon, ends, order_idx, best = vectorized.overhead_solve_small(
-                tasks, platform, rel_end
-            )
+            solve = vectorized.overhead_solve_small
+        horizon, ends, order_idx, best = solve(tasks, platform, rel_end)
         if best is None and rel_end < horizon - 1e-9:
             raise ValueError(
                 f"horizon_end {horizon_end} precedes the schedule end "
@@ -200,52 +192,28 @@ def solve_common_release_with_overhead(
             )
         ordered_tasks = tasks.tasks
         order = [ordered_tasks[k] for k in order_idx]
-    elif use_numpy:
-        # One geometry + prefix-scan build per solve prices every candidate
-        # in O(log n): the scalar path recomputes the geometry inside each
-        # `overhead_energy_at_delta` call, which profiling shows dominates
-        # the Section 8 sweeps (see docs/PERFORMANCE.md).
-        scan = vectorized.overhead_scan(tasks, platform, rel_end)
-        horizon = scan.horizon
-        ends = scan.ends
-        workloads = scan.workloads
-        ordered_tasks = tasks.tasks
-        order = [ordered_tasks[k] for k in scan.order]
-        if rel_end < horizon - 1e-9:
-            # The scalar path raises this from its first per-candidate call.
-            raise ValueError(
-                f"horizon_end {horizon_end} precedes the schedule end "
-                f"{release + horizon}"
-            )
     else:
         horizon, ends, workloads, order = _schedule_geometry(tasks, platform)
-    if not fused:
         n = len(order)
         # Gap lengths exceed the in-|I| sleep by this trailing allowance,
         # which shifts the break-even kink positions on the Delta axis.
         shift = rel_end - horizon
 
         delta_bp = [_INF] + [horizon - c for c in ends]
-        if use_numpy:
-            # The scan already built the same right-to-left accumulations
-            # (identical op order, hence identical floats); suffix index j
-            # covers tasks [j, n), so case i reads slot i - 1.
-            suffix_wlam = scan.suffix_wlam
-            suffix_max_w = scan.suffix_max_w
-        else:
-            suffix_wlam = [0.0] * (n + 1)
-            suffix_max_w = [0.0] * (n + 1)
-            for j in range(n - 1, -1, -1):
-                suffix_wlam[j] = suffix_wlam[j + 1] + workloads[j] ** lam
-                suffix_max_w[j] = max(suffix_max_w[j + 1], workloads[j])
+        lam, beta = core.lam, core.beta
+        suffix_wlam = [0.0] * (n + 1)
+        suffix_max_w = [0.0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            suffix_wlam[j] = suffix_wlam[j + 1] + workloads[j] ** lam
+            suffix_max_w[j] = max(suffix_max_w[j + 1], workloads[j])
 
         beta_lam = beta * (lam - 1.0)
         inv_lam = 1.0 / lam
+        memory = platform.memory
         alpha, alpha_m = core.alpha, memory.alpha_m
         s_up, core_xi, mem_xi = core.s_up, core.xi, memory.xi_m
         kinks = (0.0, core_xi - shift, mem_xi - shift)
 
-        pending: List[Tuple[float, int]] = []
         for i in range(1, n + 1):
             lo = delta_bp[i]
             cap = horizon - suffix_max_w[i - 1] / s_up
@@ -268,20 +236,10 @@ def solve_common_release_with_overhead(
             for kink in kinks:
                 if lo <= kink <= hi:
                     candidates.add(kink)
-            if use_numpy:
-                pending.extend((delta, i) for delta in sorted(candidates))
-                continue
             for delta in sorted(candidates):
                 energy = overhead_energy_at_delta(
                     tasks, platform, delta, horizon_end=horizon_end
                 )
-                if best is None or energy < best[1] - 1e-12:
-                    best = (delta, energy, i)
-        if use_numpy and pending:
-            energies = vectorized.overhead_energy_batch(
-                scan, platform, rel_end, [p[0] for p in pending]
-            )
-            for (delta, i), energy in zip(pending, energies):
                 if best is None or energy < best[1] - 1e-12:
                     best = (delta, energy, i)
     if best is None:  # pragma: no cover - guarded by feasibility check

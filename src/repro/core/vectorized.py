@@ -27,19 +27,17 @@ This module provides the batched counterparts:
 * :func:`placement_rows` -- the per-task best-response placements behind
   ``_placements_at``, from the same rows kernel (:func:`placement_arrays`
   wraps it for one busy interval);
-* :func:`overhead_energy_batch` -- the Section 7 break-even-aware energy of
-  ``repro.core.transition.overhead_energy_at_delta`` over an array of
-  sleep-length candidates;
-* :func:`schedule_geometry_arrays` -- the vectorized constrained-critical-
-  speed geometry (natural finish times) behind ``_schedule_geometry``.
+* :func:`overhead_solve_small` -- the Section 7 overhead solve fused into
+  one plain-Python frame (geometry, prefix scan and candidate fold), the
+  non-scalar backends' path for every task count.
 
 Backend selection is process-wide: ``REPRO_NUMERIC=scalar|numpy|jit`` in
 the environment, or :func:`set_backend` for programmatic control (the
 CLI's ``--numeric`` flag).  When unset, the numpy backend is used whenever
 numpy imports; the scalar path needs nothing beyond the standard library.
 The ``jit`` backend layers the compiled kernels of
-:mod:`repro.core.kernels` (numba or cffi-compiled C) on top of the numpy
-engine paths; when no compiled provider is importable the request
+:mod:`repro.core.kernels` (cffi-compiled C) on top of the numpy engine
+paths; when no compiled provider is importable the request
 degrades to numpy (or scalar) with a single :class:`JitUnavailableWarning
 <repro.core.kernels.JitUnavailableWarning>` instead of failing mid-run.
 The property tests in ``tests/test_numeric_backends.py`` and
@@ -89,10 +87,6 @@ __all__ = [
     "fptas_block_energy_rows",
     "placement_arrays",
     "placement_rows",
-    "schedule_geometry_arrays",
-    "OverheadScan",
-    "overhead_scan",
-    "overhead_energy_batch",
     "overhead_solve_small",
     "TimelineArrays",
     "timeline_arrays",
@@ -112,6 +106,12 @@ BACKEND_ENV = "REPRO_NUMERIC"
 
 _PENALTY = 1e30
 _INF = float("inf")
+
+#: Segment-table size up to which the accounting and validation batches
+#: (:func:`accounting_batch`, :func:`segments_feasible_batch`) lose to their
+#: plain-Python reference loops: per-op ndarray dispatch overhead (~a few
+#: microseconds) exceeds the whole loop's cost.
+_SMALL_N = 64
 
 _BACKENDS = ("scalar", "numpy", "jit")
 _backend_override: Optional[str] = None
@@ -707,337 +707,8 @@ def placement_arrays(
 
 
 # ---------------------------------------------------------------------------
-# Section 7 overhead-aware geometry and candidate sweeps
+# Section 7 fused overhead solve
 # ---------------------------------------------------------------------------
-
-
-def schedule_geometry_arrays(
-    tasks: TaskSet, platform: Platform
-) -> Tuple[float, "np.ndarray", "np.ndarray", "np.ndarray"]:
-    """Vectorized ``repro.core.transition._schedule_geometry``.
-
-    Returns ``(horizon, ends, workloads, order)`` where ``order`` is the
-    stable natural-finish sort permutation (indices into the task set's
-    deadline order) and ``ends`` / ``workloads`` are already permuted.
-    """
-    arr = block_arrays(tasks)
-    core = platform.core
-    release = float(arr.releases[0])
-    if core.alpha == 0.0:
-        ends = arr.deadlines - release
-    else:
-        outer = float(tasks.latest_deadline) - release
-        # s_c per task: the constrained critical speed of Section 7.
-        filled = arr.workloads / (arr.deadlines - arr.releases)
-        candidate = np.minimum(np.maximum(core.s_m, filled), core.s_up)
-        if core.s_m > 0.0:
-            reference = np.full_like(candidate, min(core.s_m, core.s_up))
-        else:
-            reference = candidate
-        amortizes = outer - arr.workloads / reference >= core.xi
-        s_c = np.where(
-            reference <= 0.0,
-            candidate,
-            np.where(amortizes, candidate, np.minimum(filled, core.s_up)),
-        )
-        ends = arr.workloads / s_c
-    order = np.argsort(ends, kind="stable")
-    ends = ends[order]
-    return float(ends[-1]), ends, arr.workloads[order], order
-
-
-#: Below this task count the ndarray kernels lose to plain Python: per-op
-#: dispatch overhead (~a few microseconds) exceeds the whole loop's cost.
-#: The Section 8 online sweeps replan over 1-8 pending tasks, so the
-#: small-n path is the one that matters for the bench; both paths compute
-#: the same formulas in the same order, so they agree bit-for-bit.
-_SMALL_N = 64
-
-
-@dataclass(frozen=True)
-class OverheadScan:
-    """Prefix/suffix decomposition of the Section 7 candidate objective.
-
-    Splitting tasks at a candidate's busy end ``|I| - Delta`` (ends are
-    sorted, so the split is one binary search) turns the per-task energy
-    sum of ``overhead_energy_at_delta`` into closed prefix/suffix forms:
-    tasks finishing naturally before the busy end contribute constants
-    (``prefix_*``), tasks aligned to the busy end contribute
-    ``count * alpha * busy_end`` plus ``beta * suffix_wlam * busy_end^(1-lam)``
-    -- the Eq. (8) power-sum structure.  One scan build prices any number
-    of sleep-length candidates in O(log n) each instead of O(n).
-
-    ``ends`` / ``workloads`` / ``order`` are plain lists (callers iterate
-    them in Python); the prefix/suffix tables are lists on the small-n
-    path and ndarrays otherwise (``small`` flags which).
-    """
-
-    horizon: float
-    ends: Sequence[float]
-    workloads: Sequence[float]
-    order: Sequence[int]
-    #: prefix sums over natural-finish order; index i covers tasks [0, i)
-    prefix_ends: Sequence[float]
-    prefix_beta_nat: Sequence[float]
-    #: ``None`` when core gap costs are identically zero (alpha or xi zero)
-    prefix_gap_nat: Optional[Sequence[float]]
-    #: ``None`` when no natural finish overspeeds (the usual case)
-    prefix_overspeed: Optional[Sequence[int]]
-    #: suffix sums; index i covers tasks [i, n)
-    suffix_wlam: Sequence[float]
-    suffix_max_w: Sequence[float]
-    small: bool
-
-    @property
-    def n(self) -> int:
-        return len(self.workloads)
-
-
-def _overhead_scan_small(
-    tasks: TaskSet, platform: Platform, rel_end: float
-) -> OverheadScan:
-    """Python build of the scan for small task counts."""
-    core = platform.core
-    release = tasks[0].release
-    if core.alpha == 0.0:
-        annotated = [
-            (t.deadline - release, i, t.workload) for i, t in enumerate(tasks)
-        ]
-    else:
-        # Inline CorePowerModel.s_c with s_m hoisted: the property
-        # recomputes its root on every access, which dominates the scan
-        # build at small n.  Same expressions, same values.
-        outer = tasks.latest_deadline - release
-        s_m, s_up, xi = core.s_m, core.s_up, core.xi
-        reference = min(s_m, s_up) if s_m > 0.0 else None
-        annotated = []
-        for i, t in enumerate(tasks):
-            w = t.workload
-            filled = w / (t.deadline - t.release)
-            candidate = min(max(s_m, filled), s_up)
-            ref = candidate if reference is None else reference
-            if ref <= 0.0 or outer - w / ref >= xi:
-                s_c = candidate
-            else:
-                s_c = min(filled, s_up)
-            annotated.append((w / s_c, i, w))
-    annotated.sort(key=lambda pair: pair[0])
-    ends, order, workloads = zip(*annotated)
-    horizon = ends[-1]
-
-    lam, beta = core.lam, core.beta
-    one_lam = 1.0 - lam
-    alpha, xi = core.alpha, core.xi
-    up_thresh = core.s_up * (1.0 + 1e-9)
-    gapped = alpha != 0.0 and xi != 0.0
-    axi = alpha * xi
-    prefix_ends = [0.0]
-    prefix_beta_nat = [0.0]
-    prefix_gap_nat = [0.0] if gapped else None
-    overspeed = False
-    acc_e = acc_b = acc_g = 0.0
-    for end, w in zip(ends, workloads):
-        acc_e += end
-        prefix_ends.append(acc_e)
-        acc_b += (beta * w ** lam) * end ** one_lam
-        prefix_beta_nat.append(acc_b)
-        if gapped:
-            gap = rel_end - end
-            acc_g += min(alpha * gap, axi) if gap > 0.0 else 0.0
-            prefix_gap_nat.append(acc_g)
-        if w / end > up_thresh:
-            overspeed = True
-    prefix_overspeed: Optional[List[int]] = None
-    if overspeed:
-        prefix_overspeed = [0]
-        acc_o = 0
-        for end, w in zip(ends, workloads):
-            acc_o += 1 if w / end > up_thresh else 0
-            prefix_overspeed.append(acc_o)
-    n = len(ends)
-    suffix_wlam = [0.0] * (n + 1)
-    suffix_max_w = [0.0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix_wlam[j] = suffix_wlam[j + 1] + workloads[j] ** lam
-        suffix_max_w[j] = max(suffix_max_w[j + 1], workloads[j])
-    return OverheadScan(
-        horizon=horizon,
-        ends=ends,
-        workloads=workloads,
-        order=order,
-        prefix_ends=prefix_ends,
-        prefix_beta_nat=prefix_beta_nat,
-        prefix_gap_nat=prefix_gap_nat,
-        prefix_overspeed=prefix_overspeed,
-        suffix_wlam=suffix_wlam,
-        suffix_max_w=suffix_max_w,
-        small=True,
-    )
-
-
-def overhead_scan(
-    tasks: TaskSet, platform: Platform, rel_end: float
-) -> OverheadScan:
-    """Build the :class:`OverheadScan` for one solve's geometry.
-
-    ``rel_end`` is the release-relative accounting horizon; the natural
-    tasks' break-even gap costs depend only on it, so they fold into a
-    prefix sum here.
-    """
-    if len(tasks) <= _SMALL_N:
-        return _overhead_scan_small(tasks, platform, rel_end)
-    core = platform.core
-    horizon, ends, workloads, order = schedule_geometry_arrays(tasks, platform)
-    n = int(ends.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        wlam = workloads ** core.lam
-        beta_nat = (core.beta * wlam) * ends ** (1.0 - core.lam)
-        nat_over = workloads / ends > core.s_up * (1.0 + 1e-9)
-        gapped = core.alpha != 0.0 and core.xi != 0.0
-        if gapped:
-            gaps = rel_end - ends
-            gap_nat = np.where(
-                gaps > 0.0,
-                np.minimum(core.alpha * gaps, core.alpha * core.xi),
-                0.0,
-            )
-
-    def prefix(values: "np.ndarray") -> "np.ndarray":
-        out = np.empty(n + 1, dtype=values.dtype)
-        out[0] = 0
-        np.cumsum(values, out=out[1:])
-        return out
-
-    # suffix[i] covers tasks [i, n); suffix[n] stays the empty-set value.
-    suffix_wlam = np.zeros(n + 1, dtype=np.float64)
-    np.cumsum(wlam[::-1], out=suffix_wlam[n - 1 :: -1])
-    suffix_max_w = np.zeros(n + 1, dtype=np.float64)
-    np.maximum.accumulate(workloads[::-1], out=suffix_max_w[n - 1 :: -1])
-    return OverheadScan(
-        horizon=horizon,
-        ends=ends.tolist(),
-        workloads=workloads.tolist(),
-        order=order.tolist(),
-        prefix_ends=prefix(ends),
-        prefix_beta_nat=prefix(beta_nat),
-        prefix_gap_nat=prefix(gap_nat) if gapped else None,
-        prefix_overspeed=prefix(nat_over.astype(np.int64))
-        if bool(nat_over.any())
-        else None,
-        suffix_wlam=suffix_wlam,
-        suffix_max_w=suffix_max_w,
-        small=False,
-    )
-
-
-def _overhead_energy_small(
-    scan: OverheadScan,
-    platform: Platform,
-    rel_end: float,
-    deltas: Sequence[float],
-) -> List[float]:
-    """Python evaluation of the scan objective at each candidate."""
-    core = platform.core
-    memory = platform.memory
-    horizon = scan.horizon
-    ends = scan.ends
-    n = scan.n
-    alpha, beta = core.alpha, core.beta
-    one_lam = 1.0 - core.lam
-    axi = alpha * core.xi
-    am, am_xi = memory.alpha_m, memory.alpha_m * memory.xi_m
-    up_thresh = core.s_up * (1.0 + 1e-9)
-    pe, pb = scan.prefix_ends, scan.prefix_beta_nat
-    pg, po = scan.prefix_gap_nat, scan.prefix_overspeed
-    sw, sm = scan.suffix_wlam, scan.suffix_max_w
-    gapped = pg is not None
-    out: List[float] = []
-    for delta in deltas:
-        busy = horizon - delta
-        if busy <= 0.0:
-            out.append(_INF)
-            continue
-        k = bisect_left(ends, busy)
-        if (po is not None and po[k] > 0) or sm[k] > up_thresh * busy:
-            out.append(_INF)
-            continue
-        aligned = n - k
-        total = (
-            am * busy
-            + alpha * pe[k]
-            + pb[k]
-            + alpha * aligned * busy
-            + sw[k] * (beta * busy ** one_lam)
-        )
-        trailing = rel_end - busy
-        if trailing > 0.0:
-            if am != 0.0:
-                total += min(am * trailing, am_xi)
-            if gapped:
-                total += aligned * min(alpha * trailing, axi)
-        if gapped:
-            total += pg[k]
-        out.append(total)
-    return out
-
-
-def overhead_energy_batch(
-    scan: OverheadScan,
-    platform: Platform,
-    rel_end: float,
-    deltas: Sequence[float],
-) -> List[float]:
-    """Section 7 total energies at K sleep-length candidates.
-
-    Semantically matches
-    :func:`repro.core.transition.overhead_energy_at_delta` over the scan's
-    geometry: memory busy cost plus break-even-priced gaps plus per-task
-    execution energy (``alpha * finish + beta * w^lam * finish^(1-lam)``
-    per task, the algebraic form of ``execution_energy(w, w/finish)``),
-    ``inf`` where the candidate forces an overspeed or a non-positive busy
-    interval.  Returns plain floats; the selection loop is Python either
-    way.
-    """
-    if scan.small:
-        if get_backend() == "jit":
-            from repro.core import kernels
-
-            return kernels.overhead_energy_small(scan, platform, rel_end, deltas)
-        return _overhead_energy_small(scan, platform, rel_end, deltas)
-    core = platform.core
-    memory = platform.memory
-    deltas = np.asarray(deltas, dtype=np.float64)
-    busy_end = scan.horizon - deltas
-    split = np.searchsorted(np.asarray(scan.ends), busy_end, side="left")
-    aligned = scan.n - split
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        overspeed = scan.suffix_max_w[split] > core.s_up * (1.0 + 1e-9) * busy_end
-        if scan.prefix_overspeed is not None:
-            overspeed |= scan.prefix_overspeed[split] > 0
-        total = (
-            memory.alpha_m * busy_end
-            + core.alpha * scan.prefix_ends[split]
-            + scan.prefix_beta_nat[split]
-            + core.alpha * aligned * busy_end
-            + scan.suffix_wlam[split] * (core.beta * busy_end ** (1.0 - core.lam))
-        )
-        trailing = rel_end - busy_end
-        positive = trailing > 0.0
-        if memory.alpha_m != 0.0:
-            total += np.where(
-                positive,
-                np.minimum(memory.alpha_m * trailing, memory.alpha_m * memory.xi_m),
-                0.0,
-            )
-        if scan.prefix_gap_nat is not None:
-            total += scan.prefix_gap_nat[split]
-            total += aligned * np.where(
-                positive,
-                np.minimum(core.alpha * trailing, core.alpha * core.xi),
-                0.0,
-            )
-    total = np.where(overspeed, _INF, total)
-    return np.where(busy_end <= 0.0, _INF, total).tolist()
 
 
 def overhead_solve_small(
@@ -1048,20 +719,24 @@ def overhead_solve_small(
     Sequence[int],
     Optional[Tuple[float, float, int]],
 ]:
-    """Fused small-n Section 7 solve: geometry, scan and candidate sweep.
+    """Fused Section 7 solve: geometry, prefix scan and candidate sweep.
 
     The online replan loop solves thousands of 1-8 task instances, where
-    the cost is pure Python call overhead rather than arithmetic; fusing
-    :func:`_overhead_scan_small`, the transition-module case loop and
-    :func:`_overhead_energy_small` into one frame erases that overhead.
-    Every formula and evaluation order matches the unfused path (identical
-    floats, identical candidate fold), which the backend property tests
-    pin.
+    the cost is pure Python call overhead rather than arithmetic, so the
+    constrained-critical-speed geometry, the prefix/suffix scan and the
+    transition-module case loop run in one frame.  Splitting tasks at a
+    candidate's busy end ``|I| - Delta`` (one ``bisect_left`` over the
+    sorted natural ends) turns the per-task energy sum of
+    ``transition.overhead_energy_at_delta`` into closed prefix/suffix
+    forms, so each candidate costs O(log n).  The scalar reference agrees
+    to 1e-9 and the compiled :func:`repro.core.kernels.overhead_solve_small`
+    bit for bit, which the backend property tests and the kernel
+    self-check pin.
 
     Returns ``(horizon, natural_ends, order, best)`` with ``best`` the
     ``(delta, energy, case_index)`` winner -- or ``None`` when ``rel_end``
     precedes the schedule end, which the caller turns into the same
-    ``ValueError`` the unfused path raises.
+    ``ValueError`` the scalar path raises.
     """
     core = platform.core
     memory = platform.memory

@@ -777,15 +777,6 @@ def render_bench_streaming_table(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _latency_percentile(values: List[float], p: float) -> Optional[float]:
-    """Nearest-rank percentile of measured wall latencies."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, round(p / 100.0 * (len(ordered) - 1))))
-    return ordered[rank]
-
-
 def run_bench_service(
     *,
     worker_counts: Optional[List[int]] = None,
@@ -818,6 +809,7 @@ def run_bench_service(
 
     from repro.replay import ArrivalSpec
     from repro.replay.sinks import replay_service
+    from repro.service.metrics import nearest_rank
     from repro.service.server import SolveService
 
     if worker_counts is None:
@@ -848,15 +840,15 @@ def run_bench_service(
                     platform_cycle=SERVICE_PLATFORM_CYCLE,
                 )
                 done = outcome.completed
-                latencies = [record.latency_ms for record in done]
+                latencies = sorted(record.latency_ms for record in done)
                 wall_s = outcome.wall_seconds
                 passes[label] = {
                     "wall_s": round(wall_s, 4),
                     "throughput_jobs_s": round(len(done) / wall_s, 2)
                     if wall_s > 0
                     else None,
-                    "p50_ms": _latency_percentile(latencies, 50.0),
-                    "p99_ms": _latency_percentile(latencies, 99.0),
+                    "p50_ms": nearest_rank(latencies, 50.0),
+                    "p99_ms": nearest_rank(latencies, 99.0),
                     "done": len(done),
                     "shed": sum(1 for r in outcome.records if r.status == "shed"),
                     "errors": sum(

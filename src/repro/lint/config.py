@@ -50,13 +50,12 @@ __all__ = [
 DEFAULT_SANCTIONED_NUMPY_MODULES: Tuple[str, ...] = (
     "repro.core.vectorized",
     "repro.utils.solvers",
-    "repro.core.kernels._numba_provider",
 )
 
 #: Packages allowed to import the jit toolchains (numba/cffi).  Unlike the
 #: numpy list this is prefix-scoped: ``repro.core.kernels`` sanctions the
-#: package and every submodule under it (the providers live in
-#: ``_numba_provider``/``_cffi_provider``).
+#: package and every submodule under it (the provider lives in
+#: ``_cffi_provider``).
 DEFAULT_SANCTIONED_JIT_MODULES: Tuple[str, ...] = (
     "repro.core.kernels",
 )

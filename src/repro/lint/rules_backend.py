@@ -60,7 +60,7 @@ SANCTIONED_NUMPY_MODULES = DEFAULT_SANCTIONED_NUMPY_MODULES
 
 #: Packages allowed to import the jit toolchains (numba/cffi).  Prefix
 #: semantics: an entry sanctions the named module *and* everything under
-#: it, because the kernels package splits its providers into submodules.
+#: it, because the kernels package keeps its provider in a submodule.
 #: Rescoped per run from ``[tool.repro-lint] sanctioned-jit-modules``.
 SANCTIONED_JIT_MODULES = DEFAULT_SANCTIONED_JIT_MODULES
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Sequence
 
 #: Log-spaced bucket grid of the streaming percentile sketch: buckets
 #: cover [1e-3, 1e6) (sub-microsecond to ~17-minute latencies in ms) at
@@ -45,9 +45,23 @@ __all__ = [
     "MetricsRegistry",
     "SERVICE_METRICS",
     "labelled_name",
+    "nearest_rank",
     "service_metrics",
     "scheme_energy_counter",
 ]
+
+
+def nearest_rank(ordered: Sequence[float], p: float) -> Optional[float]:
+    """The ``p``-th percentile (0..100) of an ascending sample.
+
+    Picks the element at index ``round(p / 100 * (n - 1))`` -- no
+    interpolation, so the result is always an observed value; ``None``
+    for an empty sample.
+    """
+    if not ordered:
+        return None
+    rank = min(len(ordered) - 1, max(0, round(p / 100.0 * (len(ordered) - 1))))
+    return ordered[rank]
 
 
 class Counter:
@@ -180,11 +194,8 @@ class Histogram:
     def percentile(self, p: float) -> Optional[float]:
         """The ``p``-th percentile (0..100) of recent observations."""
         with self._lock:
-            if not self._recent:
-                return None
             ordered = sorted(self._recent)
-        rank = min(len(ordered) - 1, max(0, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        return nearest_rank(ordered, p)
 
     def streaming_percentile(self, p: float) -> Optional[float]:
         """The ``p``-th percentile over *all* observations, from the

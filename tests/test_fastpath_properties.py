@@ -4,8 +4,7 @@ The batched simulation/accounting fast path must be invisible in the
 outputs: trace generation stays bit-identical to the scalar loop,
 ``simulate_unit`` energies agree to 1e-9 across backends, and rounded
 exhibit rows (``SeriesResult.rows()``) are *byte-identical* no matter
-which backend produced them.  The fused small-n overhead solve must
-match the unfused numpy scan path float-for-float.
+which backend produced them.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import pytest
 
 from repro.core import vectorized
 from repro.core.blocks import block_energy_cache_clear
-from repro.core.transition import solve_common_release_with_overhead
 from repro.energy.accounting import SleepPolicy, account_segments
 from repro.experiments.runner import SeriesResult, compare_policies
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
@@ -170,39 +168,6 @@ class TestSharedSegmentTablePricing:
         # Same schedule, different pricing: MBKP (never sleeps) pays at
         # least as much memory energy as MBKPS (always sleeps).
         assert both[1].memory_total >= both[0].memory_total - 1e-12
-
-
-@needs_numpy
-class TestFusedOverheadSolve:
-    """The fused small-n kernel must equal the unfused scan bit-for-bit."""
-
-    @pytest.mark.parametrize("alpha", [0.0, 2.0])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_fused_matches_scan_path(self, monkeypatch, alpha, seed):
-        rng = random.Random(4200 + seed)
-        release = rng.uniform(0.0, 20.0)
-        ts = TaskSet(
-            Task(
-                release,
-                release + rng.uniform(5.0, 80.0),
-                rng.uniform(50.0, 3000.0),
-            )
-            for _ in range(rng.randint(1, 10))
-        )
-        platform = Platform(
-            CorePowerModel(beta=1e-6, lam=3.0, alpha=alpha, s_up=1000.0, xi=5.0),
-            MemoryModel(alpha_m=10.0, xi_m=8.0),
-        )
-        vectorized.set_backend("numpy")
-        fused = solve_common_release_with_overhead(ts, platform)
-        # Shrinking the small-n cutoff to 0 forces the unfused scan path.
-        monkeypatch.setattr(vectorized, "_SMALL_N", 0)
-        scan = solve_common_release_with_overhead(ts, platform)
-        assert fused.delta == scan.delta
-        assert fused.case_index == scan.case_index
-        assert fused.predicted_energy == scan.predicted_energy
-        assert fused.finish_times == scan.finish_times
-        assert fused.speeds == scan.speeds
 
 
 class TestTaskSetPresorted:

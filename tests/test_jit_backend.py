@@ -1,20 +1,20 @@
 """The compiled (``REPRO_NUMERIC=jit``) numeric backend.
 
-Three layers of coverage, mirroring the ISSUE-6 acceptance gates:
+Three layers of coverage:
 
 * cross-backend agreement to 1e-9 relative on randomized task sets for
   every solver the compiled tier accelerates (plus bit-identity between
   the kernels' fused Section-7 solve and the numpy fast path it shadows);
-* graceful degradation -- requesting ``jit`` on a host where neither
-  numba nor cffi imports must fall back to numpy/scalar with exactly one
-  structured :class:`~repro.core.kernels.JitUnavailableWarning`, never a
-  mid-run crash (faked by intercepting the provider imports);
+* graceful degradation -- requesting ``jit`` on a host where the cffi
+  provider does not import must fall back to numpy/scalar with exactly
+  one structured :class:`~repro.core.kernels.JitUnavailableWarning`,
+  never a mid-run crash (faked by intercepting the provider import);
 * backend-keyed caching -- ``ResultCache`` keys must differ across all
   three backends so a jit-computed entry is never served to a numpy (or
   scalar) request.
 
 Agreement tests skip wholesale when no compiled provider loads (e.g. a
-CI leg without cffi *and* numba); the degradation and cache-key tests run
+CI leg without cffi); the degradation and cache-key tests run
 everywhere.
 """
 
@@ -30,6 +30,7 @@ from repro.core import kernels, vectorized
 from repro.core.blocks import block_energy, block_energy_cache_clear, solve_block
 from repro.core.transition import solve_common_release_with_overhead
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
+from repro.utils.solvers import bisect_increasing
 
 REL_TOL = 1e-9
 
@@ -93,6 +94,25 @@ def assert_close(reference: float, candidate: float) -> None:
     assert candidate == pytest.approx(reference, rel=REL_TOL, abs=REL_TOL * scale)
 
 
+def assert_overhead_agreement(tasks, platform, rel_end) -> None:
+    """numpy and jit Section 7 solves: 1e-9 to scalar, bit-identical to
+    each other (the C kernel transcribes the Python fused solve statement
+    for statement, and past its n limit jit runs that same Python)."""
+    out = per_backend(
+        lambda: solve_common_release_with_overhead(
+            tasks, platform, horizon_end=rel_end
+        )
+    )
+    for backend in ("numpy", "jit"):
+        assert_close(out["scalar"].predicted_energy, out[backend].predicted_energy)
+        assert_close(out["scalar"].delta, out[backend].delta)
+    assert out["jit"].predicted_energy == out["numpy"].predicted_energy
+    assert out["jit"].delta == out["numpy"].delta
+    assert out["jit"].case_index == out["numpy"].case_index
+    assert out["jit"].finish_times == out["numpy"].finish_times
+    assert out["jit"].speeds == out["numpy"].speeds
+
+
 @needs_jit
 class TestJitAgreement:
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
@@ -127,20 +147,7 @@ class TestJitAgreement:
         tasks = random_common_release_tasks(rng, rng.randint(1, 8))
         platform = make_platform(alpha, xi=xi, xi_m=xi_m)
         rel_end = tasks.latest_deadline + rng.uniform(5.0, 60.0)
-        out = per_backend(
-            lambda: solve_common_release_with_overhead(
-                tasks, platform, horizon_end=rel_end
-            )
-        )
-        assert_close(out["scalar"].predicted_energy, out["jit"].predicted_energy)
-        assert_close(out["scalar"].delta, out["jit"].delta)
-        # The fused small-n solve is a statement-for-statement transcription
-        # of the numpy fast path: identical floats, not merely 1e-9-close.
-        assert out["jit"].predicted_energy == out["numpy"].predicted_energy
-        assert out["jit"].delta == out["numpy"].delta
-        assert out["jit"].case_index == out["numpy"].case_index
-        assert out["jit"].finish_times == out["numpy"].finish_times
-        assert out["jit"].speeds == out["numpy"].speeds
+        assert_overhead_agreement(tasks, platform, rel_end)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kernel_fused_solve_bit_identical_to_python_fused(self, seed):
@@ -158,9 +165,87 @@ class TestJitAgreement:
         if compiled[3] is not None:
             assert tuple(compiled[3]) == tuple(python[3])
 
+    @pytest.mark.parametrize("alpha,xi,xi_m", [(0.05, 5.0, 2.0), (0.0, 5.0, 0.0)])
+    @pytest.mark.parametrize("n", [65, 200])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_overhead_solve_above_kernel_limit(self, alpha, xi, xi_m, n, seed):
+        assert n > kernels.REPRO_MAX_SMALL
+        rng = random.Random(4100 + 10 * n + seed)
+        tasks = random_common_release_tasks(rng, n)
+        platform = make_platform(alpha, xi=xi, xi_m=xi_m)
+        rel_end = tasks.latest_deadline + rng.uniform(5.0, 60.0)
+        assert_overhead_agreement(tasks, platform, rel_end)
+
+    def test_kernel_serves_only_up_to_its_limit(self, monkeypatch):
+        calls = []
+        compiled = kernels.overhead_solve_small
+
+        def spy(tasks, platform, rel_end):
+            calls.append(len(tasks))
+            return compiled(tasks, platform, rel_end)
+
+        monkeypatch.setattr(kernels, "overhead_solve_small", spy)
+        vectorized.set_backend("jit")
+        rng = random.Random(4300)
+        platform = make_platform(0.05, xi=5.0, xi_m=2.0)
+        limit = kernels.REPRO_MAX_SMALL
+        for n in (limit, limit + 1):
+            solve_common_release_with_overhead(
+                random_common_release_tasks(rng, n), platform
+            )
+        assert calls == [limit]
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_powersum_roots_random_masks(self, mode, seed):
+        # Mode 0 (head slope over deadlines) and mode 1 (tail condition
+        # over releases) against bisect_increasing on the scalar closure.
+        rng = random.Random(6000 + seed)
+        n = rng.randint(2, 7)
+        values = sorted(rng.uniform(0.0, 60.0) for _ in range(n))
+        workloads = [rng.uniform(50.0, 3000.0) for _ in range(n)]
+        lam = 3.0
+        target = rng.uniform(1e5, 1e8)
+        count = 6
+        masks, lo, hi, expected = [], [], [], []
+        for _ in range(count):
+            mask = [rng.randint(0, 1) for _ in range(n)]
+            mask[rng.randrange(n)] = 1
+            chosen = [v for v, flag in zip(values, mask) if flag]
+            # Brackets wide enough that the power sum falls below every
+            # target at the far end, so the root is interior, not clamped.
+            if mode == 0:
+                b = min(chosen) - rng.uniform(0.0, 1.0)
+                a = b - rng.uniform(150.0, 250.0)
+            else:
+                a = max(chosen) + rng.uniform(0.0, 1.0)
+                b = a + rng.uniform(150.0, 250.0)
+
+            def closure(x, mask=mask):
+                acc = 0.0
+                for flag, v, w in zip(mask, values, workloads):
+                    if not flag:
+                        continue
+                    length = v - x if mode == 0 else x - v
+                    if length <= 0.0:
+                        return float("inf") if mode == 0 else float("-inf")
+                    acc += (w / length) ** lam
+                return acc - target if mode == 0 else target - acc
+
+            masks.extend(mask)
+            lo.append(a)
+            hi.append(b)
+            expected.append(bisect_increasing(closure, a, b))
+        got = kernels.powersum_roots(
+            values, workloads, bytes(masks), count, lo, hi, target, lam, mode
+        )
+        assert len(got) == count
+        for g, e in zip(got, expected):
+            assert abs(g - e) <= 1e-9
+
     def test_warm_up_reports_provider(self):
         assert kernels.warm_up() == kernels.provider_name()
-        assert kernels.provider_name() in ("numba", "cffi")
+        assert kernels.provider_name() == "cffi"
 
     def test_available_backends_lists_jit(self):
         assert "jit" in vectorized.available_backends()
@@ -171,7 +256,7 @@ class TestJitFallback:
 
     @pytest.fixture()
     def broken_jit(self, monkeypatch):
-        """Make both provider imports raise ImportError, reset warn latch."""
+        """Make the provider import raise ImportError, reset warn latch."""
         kernels.clear()
         real_import = builtins.__import__
 
