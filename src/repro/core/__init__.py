@@ -14,8 +14,10 @@ Modules map one-to-one onto the paper's sections:
   (Theorem 1 closed forms and exact/heuristic partitioners);
 * :mod:`repro.core.reference` -- slow, brutally simple reference
   optimizers the test-suite certifies the fast schemes against;
+* :mod:`repro.core.solve_config` -- the one solve configuration (numeric
+  backend, solver tier, ε) every solve runs under;
 * :mod:`repro.core.vectorized` -- the batched NumPy numeric core behind
-  the block / case-scan hot paths (``REPRO_NUMERIC`` selects the backend);
+  the block / case-scan hot paths;
 * :mod:`repro.core.fptas` -- the ε-approximate solver tier
   (``--solver exact|fptas``) for huge-n instances the exact DPs cannot
   reach (after Antoniadis, Huang & Ott, arXiv:1407.0892).
@@ -56,27 +58,23 @@ from repro.core.partitioned import (
     solve_partitioned_common_release,
 )
 from repro.core.islands import IslandSolution, solve_islands_common_release
-from repro.core.vectorized import (
-    available_backends,
-    get_backend,
-    set_backend,
-)
+from repro.core.solve_config import SolveConfig, using
+from repro.core.vectorized import available_backends, get_backend
 from repro.core.fptas import (
     get_solver_epsilon,
     get_solver_tier,
-    set_solver_tier,
     solve_agreeable_fptas,
     solve_agreeable_fptas_columns,
     solve_common_release_fptas,
 )
 
 __all__ = [
+    "SolveConfig",
+    "using",
     "available_backends",
     "get_backend",
-    "set_backend",
     "get_solver_epsilon",
     "get_solver_tier",
-    "set_solver_tier",
     "solve_agreeable_fptas",
     "solve_agreeable_fptas_columns",
     "solve_common_release_fptas",

@@ -53,19 +53,19 @@ span takes the scalar per-block pricer (:func:`_price_block_discrete`
 over :func:`_columns_block_pricer`), the reference the batched path
 reproduces float for float, so energies do not depend on the backend.
 
-The module also owns the process-wide *solver tier* selection mirrored
-on :mod:`repro.core.vectorized`'s backend switch: ``REPRO_SOLVER_TIER``
-/ ``REPRO_SOLVER_EPSILON`` environment variables, a programmatic
-override (:func:`set_solver_tier`), and :func:`solver_cache_component`
-for cache keys so exact and fptas results can never alias.
+The tier and ε are fields of the active
+:class:`~repro.core.solve_config.SolveConfig` (:func:`get_solver_tier`,
+:func:`get_solver_epsilon`), like the numeric backend: an entry point
+scopes one with :func:`repro.core.solve_config.using`, and outside every
+scope ``REPRO_SOLVER_TIER`` / ``REPRO_SOLVER_EPSILON`` select them.  Cache
+keys are derived from the config, so exact and fptas results can never
+alias.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from array import array
-from contextlib import contextmanager
 from typing import (
     Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -74,6 +74,12 @@ from repro.core import vectorized
 from repro.core.agreeable import AgreeableSolution
 from repro.core.blocks import BlockSolution, TaskPlacement
 from repro.core.common_release import CommonReleaseSolution
+from repro.core.solve_config import (
+    DEFAULT_EPSILON,
+    SOLVER_TIERS,
+    check_epsilon,
+    current,
+)
 from repro.core.transition import _schedule_geometry, overhead_energy_at_delta
 from repro.models.platform import Platform
 from repro.models.task import Task, TaskSet
@@ -86,24 +92,13 @@ from repro.utils.solvers import (
 
 __all__ = [
     "DEFAULT_EPSILON",
-    "EPSILON_ENV",
     "SOLVER_TIERS",
-    "TIER_ENV",
     "get_solver_epsilon",
     "get_solver_tier",
-    "pinned_solver",
-    "set_solver_tier",
     "solve_agreeable_fptas",
     "solve_agreeable_fptas_columns",
     "solve_common_release_fptas",
-    "solver_cache_component",
-    "solver_override",
 ]
-
-TIER_ENV = "REPRO_SOLVER_TIER"
-EPSILON_ENV = "REPRO_SOLVER_EPSILON"
-SOLVER_TIERS = ("exact", "fptas")
-DEFAULT_EPSILON = 0.1
 
 #: Grid prices at or above this are graded infeasibility penalties from
 #: the block-energy evaluators (they start at ``vectorized._PENALTY``).
@@ -128,97 +123,20 @@ _BATCH_MIN_SPANS = 64
 _BATCH_MAX_ROWS = 1024
 _BATCH_MAX_TASKS = 4096
 
-_tier_override: Optional[str] = None
-_epsilon_override: Optional[float] = None
-
-
 # ---------------------------------------------------------------------------
-# Tier selection (mirrors repro.core.vectorized's backend switch)
+# The active tier (read from the scoped repro.core.solve_config.SolveConfig)
 # ---------------------------------------------------------------------------
-
-
-def _validate_tier(name: object) -> str:
-    tier = str(name).strip().lower()
-    if tier not in SOLVER_TIERS:
-        raise ValueError(
-            f"unknown solver tier {name!r}; expected one of {SOLVER_TIERS}"
-        )
-    return tier
-
-
-@unit(SCALAR)
-def _validate_epsilon(value: object) -> float:
-    """Parse and range-check an ε; the bound proof needs ``epsilon <= 2``."""
-    try:
-        eps = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ValueError(f"epsilon must be a number, got {value!r}") from None
-    if not math.isfinite(eps) or eps <= 0.0 or eps > 2.0:
-        raise ValueError(f"epsilon must lie in (0, 2], got {value!r}")
-    return eps
-
-
-def set_solver_tier(tier: Optional[str], epsilon: Optional[float] = None) -> None:
-    """Set (or with ``None`` clear) the process-wide solver tier override."""
-    global _tier_override, _epsilon_override
-    if tier is None:
-        _tier_override = None
-        _epsilon_override = None
-        return
-    _tier_override = _validate_tier(tier)
-    _epsilon_override = None if epsilon is None else _validate_epsilon(epsilon)
 
 
 def get_solver_tier() -> str:
-    """Active solver tier: override > $REPRO_SOLVER_TIER > ``"exact"``."""
-    if _tier_override is not None:
-        return _tier_override
-    raw = os.environ.get(TIER_ENV)
-    if raw:
-        return _validate_tier(raw)
-    return "exact"
+    """The active config's solver tier."""
+    return current().tier
 
 
 @unit(SCALAR)
 def get_solver_epsilon() -> float:
-    """Active ε: override > $REPRO_SOLVER_EPSILON > :data:`DEFAULT_EPSILON`."""
-    if _epsilon_override is not None:
-        return _epsilon_override
-    raw = os.environ.get(EPSILON_ENV)
-    if raw:
-        return _validate_epsilon(raw)
-    return DEFAULT_EPSILON
-
-
-def solver_override() -> Tuple[Optional[str], Optional[float]]:
-    """The raw (tier, epsilon) override pair, for save/restore pinning."""
-    return _tier_override, _epsilon_override
-
-
-@contextmanager
-def pinned_solver(
-    tier: Optional[str], epsilon: Optional[float] = None
-) -> Iterator[None]:
-    """Pin the solver tier for a scope, restoring the previous override."""
-    saved_tier, saved_epsilon = solver_override()
-    set_solver_tier(tier, epsilon)
-    try:
-        yield
-    finally:
-        set_solver_tier(saved_tier, saved_epsilon)
-
-
-def solver_cache_component() -> Dict[str, object]:
-    """Cache-key component for the active tier.
-
-    Exact stays a bare ``{"tier": "exact"}`` so every exact key is a pure
-    function of the pre-existing payload fields plus this constant; fptas
-    keys additionally carry ε, so results at different tolerances can
-    never alias each other or the exact tier.
-    """
-    if get_solver_tier() == "fptas":
-        return {"tier": "fptas", "epsilon": get_solver_epsilon()}
-    return {"tier": "exact"}
+    """The active config's ε."""
+    return current().epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +623,7 @@ def solve_agreeable_fptas(
     ``s_up``).  ``epsilon`` defaults to the active tier ε
     (:func:`get_solver_epsilon`).
     """
-    eps = _validate_epsilon(get_solver_epsilon() if epsilon is None else epsilon)
+    eps = get_solver_epsilon() if epsilon is None else check_epsilon(epsilon)
     if check_inputs:
         if not tasks.is_agreeable():
             raise ValueError("Section 5 schemes require agreeable deadlines")
@@ -777,7 +695,7 @@ def solve_common_release_fptas(
     never increases gap costs — hence the (1+ε) bound with room to
     spare.
     """
-    eps = _validate_epsilon(get_solver_epsilon() if epsilon is None else epsilon)
+    eps = get_solver_epsilon() if epsilon is None else check_epsilon(epsilon)
     core = platform.core
     if check_inputs:
         if not tasks.has_common_release():
@@ -1058,7 +976,7 @@ def solve_agreeable_fptas_columns(
     with :func:`solve_agreeable_fptas` on the same trace and independent
     of the numeric backend (the bench's huge-n slice checks both).
     """
-    eps = _validate_epsilon(get_solver_epsilon() if epsilon is None else epsilon)
+    eps = get_solver_epsilon() if epsilon is None else check_epsilon(epsilon)
     n = len(releases)
     if len(deadlines) != n or len(workloads) != n:
         raise ValueError("releases, deadlines and workloads must align")

@@ -31,14 +31,15 @@ This module provides the batched counterparts:
   one plain-Python frame (geometry, prefix scan and candidate fold), the
   non-scalar backends' path for every task count.
 
-Backend selection is process-wide: ``REPRO_NUMERIC=scalar|numpy|jit`` in
-the environment, or :func:`set_backend` for programmatic control (the
-CLI's ``--numeric`` flag).  When unset, the numpy backend is used whenever
-numpy imports; the scalar path needs nothing beyond the standard library.
-The ``jit`` backend layers the compiled kernels of
-:mod:`repro.core.kernels` (cffi-compiled C) on top of the numpy engine
-paths; when no compiled provider is importable the request
-degrades to numpy (or scalar) with a single :class:`JitUnavailableWarning
+The backend is the active :class:`~repro.core.solve_config.SolveConfig`'s
+(:func:`get_backend`): an entry point scopes one with
+:func:`repro.core.solve_config.using`, and outside every scope
+``REPRO_NUMERIC=scalar|numpy|jit`` selects it.  When unset, the numpy
+backend is used whenever numpy imports; the scalar path needs nothing
+beyond the standard library.  The ``jit`` backend layers the compiled
+kernels of :mod:`repro.core.kernels` (cffi-compiled C) on top of the numpy
+engine paths; a config resolves an unusable ``jit`` request to numpy (or
+scalar) with a single :class:`JitUnavailableWarning
 <repro.core.kernels.JitUnavailableWarning>` instead of failing mid-run.
 The property tests in ``tests/test_numeric_backends.py`` and
 ``tests/test_jit_backend.py`` assert all backends agree to 1e-9 on
@@ -49,7 +50,6 @@ forms no matter which backend runs them.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -61,16 +61,14 @@ try:  # numpy is an optional accelerator, never a hard dependency
 except ImportError:  # pragma: no cover - exercised on numpy-less CI legs
     np = None  # type: ignore[assignment]
 
+from repro.core.solve_config import current
 from repro.models.platform import Platform
 from repro.models.task import TaskSet
 
 __all__ = [
     "HAS_NUMPY",
-    "BACKEND_ENV",
     "available_backends",
     "get_backend",
-    "get_backend_override",
-    "set_backend",
     "use_numpy",
     "use_jit",
     "BlockArrays",
@@ -101,9 +99,6 @@ __all__ = [
 
 HAS_NUMPY = np is not None
 
-#: Environment variable selecting the numeric backend.
-BACKEND_ENV = "REPRO_NUMERIC"
-
 _PENALTY = 1e30
 _INF = float("inf")
 
@@ -112,10 +107,6 @@ _INF = float("inf")
 #: plain-Python reference loops: per-op ndarray dispatch overhead (~a few
 #: microseconds) exceeds the whole loop's cost.
 _SMALL_N = 64
-
-_BACKENDS = ("scalar", "numpy", "jit")
-_backend_override: Optional[str] = None
-_jit_fallback_warned = False
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -135,84 +126,9 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(names)
 
 
-def _jit_fallback() -> str:
-    """Resolve an unavailable ``jit`` request to the next-best backend.
-
-    Emits one structured :class:`~repro.core.kernels.JitUnavailableWarning`
-    per process (satellite: degradation must never crash mid-run, and must
-    not spam a warning per solve).
-    """
-    global _jit_fallback_warned
-    from repro.core import kernels
-
-    fallback = "numpy" if HAS_NUMPY else "scalar"
-    if not _jit_fallback_warned:
-        _jit_fallback_warned = True
-        import warnings
-
-        warnings.warn(
-            "numeric backend 'jit' requested but no compiled kernel "
-            f"provider is usable ({kernels.load_error()}); falling back "
-            f"to '{fallback}'",
-            kernels.JitUnavailableWarning,
-            stacklevel=3,
-        )
-    return fallback
-
-
-def _validate_backend(name: str) -> str:
-    name = name.strip().lower()
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown numeric backend {name!r}; valid: {', '.join(_BACKENDS)}"
-        )
-    if name == "numpy" and not HAS_NUMPY:
-        raise RuntimeError(
-            "numeric backend 'numpy' requested but numpy is not installed; "
-            "unset REPRO_NUMERIC or install numpy"
-        )
-    if name == "jit":
-        from repro.core import kernels
-
-        if not kernels.available():
-            return _jit_fallback()
-    return name
-
-
-def set_backend(name: Optional[str]) -> None:
-    """Force the numeric backend for this process.
-
-    ``None`` clears the override, restoring the ``REPRO_NUMERIC``
-    environment variable (or the auto default).  Clears the scalar-side
-    memo caches in :mod:`repro.core.blocks` so a backend switch can never
-    serve values computed by the other backend.
-    """
-    global _backend_override
-    _backend_override = None if name is None else _validate_backend(name)
-    # Imported lazily: blocks imports this module at load time.
-    from repro.core.blocks import block_energy_cache_clear
-
-    block_energy_cache_clear()
-
-
-def get_backend_override() -> Optional[str]:
-    """The forced backend, or ``None`` when env/auto selection applies.
-
-    Lets callers that temporarily switch backends (``repro bench``'s
-    scalar-vs-numpy comparison) restore the caller's choice instead of
-    clobbering it with the auto default.
-    """
-    return _backend_override
-
-
 def get_backend() -> str:
-    """The effective backend: override > ``$REPRO_NUMERIC`` > auto."""
-    if _backend_override is not None:
-        return _backend_override
-    env = os.environ.get(BACKEND_ENV, "")
-    if env.strip():
-        return _validate_backend(env)
-    return "numpy" if HAS_NUMPY else "scalar"
+    """The active config's backend (see :mod:`repro.core.solve_config`)."""
+    return current().backend
 
 
 def use_numpy() -> bool:

@@ -34,11 +34,13 @@ import json
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
 from repro.core import vectorized
 from repro.core.blocks import block_energy_cache_clear
+from repro.core.solve_config import current, using
 from repro.experiments.cache import ResultCache
 from repro.experiments.fig6 import fig6_specs
 from repro.experiments.parallel import resolve_workers, run_series
@@ -196,9 +198,10 @@ def _compare_backends(
     backend runs the slice ``repeats`` times and reports the fastest pass
     (least-interference estimate -- the box's other load only ever adds
     time).  Returns ``None`` when only the scalar backend is importable.
-    Restores the caller's backend override on exit.  When the jit backend
-    participates, its kernels are compiled/warmed *before* timing so
-    first-call JIT cost never pollutes the numbers.
+    Each backend runs under the active config with only its backend
+    swapped.  When the jit backend participates, its kernels are
+    compiled/warmed *before* timing so first-call JIT cost never pollutes
+    the numbers.
     """
     backends = vectorized.available_backends()
     if len(backends) < 2:
@@ -207,32 +210,30 @@ def _compare_backends(
         from repro.core import kernels
 
         kernels.warm_up()
-    previous = vectorized.get_backend_override()
     measured: Dict[str, Dict[str, object]] = {}
     rows: Dict[str, List] = {}
-    try:
-        for backend in backends:
-            best_wall = best_solver = float("inf")
-            for _ in range(max(1, repeats)):
-                vectorized.set_backend(backend)  # also clears memo caches
-                vectorized.block_arrays_cache_clear()  # honest cold run
-                reset_solver_counts()
-                with _solver_timer() as solver_elapsed:
-                    start = time.perf_counter()
-                    series = run_series(
-                        f"bench-{backend}", specs, seeds=seeds, max_workers=1
-                    )
-                    seconds = time.perf_counter() - start
-                best_wall = min(best_wall, seconds)
-                best_solver = min(best_solver, solver_elapsed[0])
-            rows[backend] = series.rows()
-            measured[backend] = {
-                "seconds": round(best_wall, 4),
-                "solver_seconds": round(best_solver, 4),
-                "solver_calls": solver_call_total(),
-            }
-    finally:
-        vectorized.set_backend(previous)
+    for backend in backends:
+        config = replace(current(), backend=backend)
+        best_wall = best_solver = float("inf")
+        for _ in range(max(1, repeats)):
+            block_energy_cache_clear()  # honest cold run
+            vectorized.block_arrays_cache_clear()
+            reset_solver_counts()
+            with _solver_timer() as solver_elapsed:
+                start = time.perf_counter()
+                series = run_series(
+                    f"bench-{backend}", specs, seeds=seeds, max_workers=1,
+                    config=config,
+                )
+                seconds = time.perf_counter() - start
+            best_wall = min(best_wall, seconds)
+            best_solver = min(best_solver, solver_elapsed[0])
+        rows[backend] = series.rows()
+        measured[backend] = {
+            "seconds": round(best_wall, 4),
+            "solver_seconds": round(best_solver, 4),
+            "solver_calls": solver_call_total(),
+        }
     scalar = measured["scalar"]
     identical = all(rows[b] == rows["scalar"] for b in backends)
     assert identical, "numeric backends disagree at the output-row level"
@@ -539,14 +540,10 @@ def run_bench_huge_n(
                     platform,
                     epsilon=epsilon,
                 )
-                previous = vectorized.get_backend_override()
-                vectorized.set_backend("scalar")
-                try:
+                with using(replace(current(), backend="scalar")):
                     reference = solve_agreeable_fptas_columns(
                         releases, deadlines, workloads, platform, epsilon=epsilon
                     )
-                finally:
-                    vectorized.set_backend(previous)
                 identical = (
                     obj.predicted_energy == cols["energy"]
                     and obj.num_blocks == cols["num_blocks"]

@@ -10,9 +10,10 @@ JSON of everything that determines the result:
   :mod:`repro.experiments.parallel`);
 * the seed index;
 * the policy name;
-* the numeric backend (:func:`repro.core.vectorized.get_backend`) --
-  backends agree to 1e-9, not to the last ulp, so cached raw energies
-  never cross the backend boundary;
+* the solve config's numeric backend and solver tier
+  (:class:`repro.core.solve_config.SolveConfig`) -- backends agree to
+  1e-9, not to the last ulp, so cached raw energies never cross the
+  backend boundary, and exact and fptas results never alias;
 * a code-version salt (:data:`CODE_SALT`), bumped whenever the numeric
   semantics of the simulator or policies change, which invalidates every
   stale entry at once.
@@ -33,7 +34,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core import fptas, vectorized
+from repro.core.solve_config import SolveConfig, current
 from repro.models.platform import Platform
 
 __all__ = [
@@ -92,73 +93,81 @@ def platform_fingerprint(platform: Platform) -> Dict[str, object]:
     }
 
 
+def _solver_component(config: SolveConfig) -> Dict[str, object]:
+    """The tier part of a key: exact is bare, fptas also carries its ε."""
+    if config.tier == "fptas":
+        return {"tier": "fptas", "epsilon": config.epsilon}
+    return {"tier": "exact"}
+
+
+def _digest(payload: Dict[str, object]) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def unit_key(
     platform: Platform,
     trace_config: Dict[str, object],
     seed: int,
     policy: str,
     *,
+    config: Optional[SolveConfig] = None,
     salt: str = CODE_SALT,
 ) -> str:
     """SHA-256 hex key for one (platform, trace, seed, policy) cell.
 
-    The active numeric backend is part of the key: the scalar and numpy
-    cores agree to 1e-9 but not necessarily to the last ulp, so a warm
-    run must never serve raw energies computed by the other backend --
-    engine determinism (identical rows across cache states) is asserted
-    per backend.  The active solver tier (and its ε when approximate) is
-    part of the key for the same reason, only stronger: exact and fptas
+    ``config`` (default: the active one) is part of the key.  Its backend:
+    the scalar and numpy cores agree to 1e-9 but not necessarily to the
+    last ulp, so a warm run must never serve raw energies computed by the
+    other backend -- engine determinism (identical rows across cache
+    states) is asserted per backend.  Its solver tier (and ε when
+    approximate) for the same reason, only stronger: exact and fptas
     results differ by design, so they must never alias.
     """
-    payload = {
-        "platform": platform_fingerprint(platform),
-        "trace": trace_config,
-        "seed": seed,
-        "policy": policy,
-        "numeric": vectorized.get_backend(),
-        "solver": fptas.solver_cache_component(),
-        "salt": salt,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if config is None:
+        config = current()
+    return _digest(
+        {
+            "platform": platform_fingerprint(platform),
+            "trace": trace_config,
+            "seed": seed,
+            "policy": policy,
+            "numeric": config.backend,
+            "solver": _solver_component(config),
+            "salt": salt,
+        }
+    )
 
 
 def service_request_key(
     platform: Platform,
     tasks_config: object,
     scheme: str,
-    numeric: str,
+    config: SolveConfig,
     *,
-    solver: str = "exact",
-    epsilon: Optional[float] = None,
     salt: str = CODE_SALT,
 ) -> str:
-    """SHA-256 key for one solve-service request.
+    """SHA-256 key for one solve-service request solved under ``config``.
 
-    Same construction as :func:`unit_key` but with the backend passed
-    explicitly: the service batcher prices requests for a backend it has
-    not switched the process to yet, so it cannot rely on
-    ``vectorized.get_backend()``.  The solver tier is explicit for the same
-    reason -- the batcher keys a request before pinning the tier -- and ε
+    Same construction as :func:`unit_key`, except that the tier component
     joins the payload only on the fptas tier, so every exact key is
-    unchanged from before the tier existed and approximate results can
-    never alias exact ones.  ``tasks_config`` must be the canonical
-    JSON-able task description *including names* (names appear verbatim in
-    the cached schedule payload), and ``scheme`` the resolved scheme --
-    never ``auto`` -- so explicit and auto-resolved requests share entries.
+    unchanged from before the tier existed.  ``tasks_config`` must be the
+    canonical JSON-able task description *including names* (names appear
+    verbatim in the cached schedule payload), and ``scheme`` the resolved
+    scheme -- never ``auto`` -- so explicit and auto-resolved requests
+    share entries.
     """
-    payload = {
+    payload: Dict[str, object] = {
         "kind": "service-solve",
         "platform": platform_fingerprint(platform),
         "tasks": tasks_config,
         "scheme": scheme,
-        "numeric": numeric,
+        "numeric": config.backend,
         "salt": salt,
     }
-    if solver != "exact":
-        payload["solver"] = {"tier": solver, "epsilon": float(epsilon)}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if config.tier != "exact":
+        payload["solver"] = _solver_component(config)
+    return _digest(payload)
 
 
 @dataclass(frozen=True)
@@ -202,8 +211,10 @@ class ResultCache:
         trace_config: Dict[str, object],
         seed: int,
         policy: str,
+        *,
+        config: Optional[SolveConfig] = None,
     ) -> str:
-        return unit_key(platform, trace_config, seed, policy)
+        return unit_key(platform, trace_config, seed, policy, config=config)
 
     # -- storage --------------------------------------------------------------
 

@@ -7,8 +7,8 @@ The repo enforces several invariants that generic linters cannot see:
   dependence, no computed-float equality in solver code);
 * **backend purity** -- the scalar/numpy dual numeric core stays
   byte-compatible only while every ndarray touch goes through
-  :mod:`repro.core.vectorized` and ``REPRO_NUMERIC`` is read through its
-  sanctioned accessor;
+  :mod:`repro.core.vectorized` and ``REPRO_NUMERIC`` is read only by
+  its sanctioned accessor, :mod:`repro.core.solve_config`;
 * **concurrency** -- the solve service's locks are acquired in a
   consistent order, never held across ``await``, and the metrics
   registry's shared state is only mutated under its lock;

@@ -13,9 +13,8 @@ The numeric core (PR 2) runs CI in two legs: one without numpy installed
   :mod:`repro.core.vectorized` rather than importing numpy itself
   (``BCK002``);
 * the ``REPRO_NUMERIC`` environment variable is *read* only by the
-  sanctioned accessor :func:`repro.core.vectorized.get_backend`, so the
-  override > env > auto precedence cannot fork (``BCK003``).  Writes are
-  allowed -- the CLI exports the flag to pool workers;
+  sanctioned accessor :mod:`repro.core.solve_config`, so the flag > env >
+  auto precedence cannot fork (``BCK003``).  Writes are allowed;
 * the jit toolchains (numba/cffi, PR 6) are imported only inside
   ``repro.core.kernels`` -- every other module reaches compiled code
   through the dispatcher, so a checkout without either toolchain
@@ -68,7 +67,7 @@ SANCTIONED_JIT_MODULES = DEFAULT_SANCTIONED_JIT_MODULES
 JIT_TOOLCHAIN_PACKAGES = ("numba", "cffi")
 
 #: The one module allowed to read the backend environment variable.
-BACKEND_ACCESSOR_MODULE = "repro.core.vectorized"
+BACKEND_ACCESSOR_MODULE = "repro.core.solve_config"
 
 _BACKEND_ENV = "REPRO_NUMERIC"
 
@@ -204,10 +203,10 @@ class BackendEnvReadRule(Rule):
     id = "BCK003"
     family = "backend"
     description = (
-        "REPRO_NUMERIC read outside repro.core.vectorized.get_backend(); "
-        "the override > env > auto precedence must have one owner"
+        "REPRO_NUMERIC read outside repro.core.solve_config; "
+        "the flag > env > auto precedence must have one owner"
     )
-    hint = "call repro.core.vectorized.get_backend() (writes for worker export are fine)"
+    hint = "call repro.core.vectorized.get_backend() (writes are fine)"
 
     def applies_to(self, module: SourceModule) -> bool:
         if not super().applies_to(module):
@@ -253,16 +252,14 @@ class BackendEnvReadRule(Rule):
         name = dotted_call_name(node, module.aliases)
         if name is None:
             return False
-        return name.split(".")[-1] == "BACKEND_ENV" or name.endswith(
-            "vectorized.BACKEND_ENV"
-        )
+        return name.split(".")[-1] == "BACKEND_ENV"
 
     def _flag(self, module: SourceModule, node: ast.AST) -> Finding:
         return self.finding(
             module,
             node,
             "REPRO_NUMERIC must be read through "
-            "repro.core.vectorized.get_backend(), not the raw environment",
+            "repro.core.solve_config, not the raw environment",
         )
 
 

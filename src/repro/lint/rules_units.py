@@ -254,7 +254,7 @@ _QUANTITY_SEGMENTS = re.compile(
 #: The numeric-backend env var and its sanctioned accessor (the module
 #: UNT002 never applies to, so no self-flagging is possible).
 _NUMERIC_ENV = "REPRO_NUMERIC"
-_NUMERIC_ACCESSOR_MODULE = "repro.core.vectorized"
+_NUMERIC_ACCESSOR_MODULE = "repro.core.solve_config"
 
 
 @register

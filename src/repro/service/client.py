@@ -333,15 +333,8 @@ def demo_wire_requests(
 
 def expected_result(wire: Dict[str, object]) -> Dict[str, object]:
     """Direct in-process execution of a wire request (the byte-identity
-    reference), with the request's backend pinned around the call."""
-    request = protocol.request_from_wire(wire)
-    previous = vectorized.get_backend_override()
-    if request.numeric is not None:
-        vectorized.set_backend(request.numeric)
-    try:
-        return protocol.execute_request(request)
-    finally:
-        vectorized.set_backend(previous)
+    reference), under the config the request resolves to here."""
+    return protocol.execute_request(protocol.request_from_wire(wire))
 
 
 # ---------------------------------------------------------------------------

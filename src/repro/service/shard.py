@@ -41,6 +41,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import vectorized
+from repro.core.solve_config import SolveConfig
 from repro.experiments.cache import ResultCache, platform_fingerprint
 from repro.experiments.parallel import WorkerProcess
 from repro.service import protocol
@@ -93,7 +94,7 @@ def _worker_cache(root: Optional[str]) -> Optional[ResultCache]:
 def shard_execute(
     requests: Sequence[protocol.SolveRequest],
     cache_root: Optional[str],
-    backend: str,
+    config: SolveConfig,
 ) -> List[Dict[str, object]]:
     """Worker-side entry point: execute one compatible micro-batch.
 
@@ -103,7 +104,7 @@ def shard_execute(
     :func:`execute_batch_requests`; the parent turns them into wire
     responses and metrics.
     """
-    return execute_batch_requests(list(requests), _worker_cache(cache_root), backend)
+    return execute_batch_requests(list(requests), _worker_cache(cache_root), config)
 
 
 def shard_memo_stats() -> Dict[str, float]:
@@ -132,13 +133,11 @@ class ShardWorker:
         index: int,
         *,
         cache: Optional[ResultCache] = None,
-        backend: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.index = index
         self.provenance: Dict[str, object] = {"shard": index}
         self._cache_root = cache.root if cache is not None else None
-        self._backend = backend
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._batches = metrics.counter(
             labelled_name("repro_shard_batches_total", shard=index)
@@ -149,10 +148,10 @@ class ShardWorker:
         self._respawns = metrics.counter(
             labelled_name("repro_shard_respawns_total", shard=index)
         )
-        self._worker = WorkerProcess(backend=backend)
+        self._worker = WorkerProcess()
 
     def submit(
-        self, requests: Sequence[protocol.SolveRequest], backend: str
+        self, requests: Sequence[protocol.SolveRequest], config: SolveConfig
     ) -> "Future[List[Dict[str, object]]]":
         """Dispatch one formed batch; resolves to the worker's outcome dicts."""
         batch = list(requests)
@@ -160,16 +159,16 @@ class ShardWorker:
         self._requests.inc(len(batch))
         try:
             running = self._worker.submit(
-                shard_execute, batch, self._cache_root, backend
+                shard_execute, batch, self._cache_root, config
             )
         except BrokenProcessPool:
             # The worker died since its last batch: this batch goes to
             # its replacement instead.
             self._worker.shutdown(wait=False)
-            self._worker = WorkerProcess(backend=self._backend)
+            self._worker = WorkerProcess()
             self._respawns.inc()
             running = self._worker.submit(
-                shard_execute, batch, self._cache_root, backend
+                shard_execute, batch, self._cache_root, config
             )
         outcomes: Future = Future()
         running.add_done_callback(
@@ -216,7 +215,6 @@ class ShardPool:
         shards: int,
         *,
         cache: Optional[ResultCache] = None,
-        backend: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         vnodes: int = DEFAULT_VNODES,
     ):
@@ -224,7 +222,7 @@ class ShardPool:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.ring = HashRing(shards, vnodes=vnodes)
         self.workers: List[ShardWorker] = [
-            ShardWorker(index, cache=cache, backend=backend, metrics=metrics)
+            ShardWorker(index, cache=cache, metrics=metrics)
             for index in range(shards)
         ]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import vectorized
+from repro.core.solve_config import SolveConfig, using
 from repro.energy.accounting import (
     SleepPolicy,
     _account_segments_scalar,
@@ -32,12 +33,6 @@ from repro.schedule.timeline import CoreTimeline, ExecutionInterval, Schedule
 REL_TOL = 1e-9
 
 POLICIES = (SleepPolicy.BREAK_EVEN, SleepPolicy.ALWAYS, SleepPolicy.NEVER)
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    vectorized.set_backend(None)
 
 
 def platform_with(xi_m: float = 8.0, xi: float = 5.0) -> Platform:
@@ -89,6 +84,13 @@ def backends():
     return names
 
 
+@pytest.fixture(params=backends())
+def backend(request):
+    """Run the test under each available backend."""
+    with using(SolveConfig(request.param)):
+        yield request.param
+
+
 def tile(segments, copies: int, stride: float):
     """Repeat a segment pattern ``copies`` times, shifted by ``stride``,
     to push the table over the batch cutoff without changing its shape."""
@@ -102,9 +104,7 @@ def tile(segments, copies: int, stride: float):
 
 
 class TestZeroLengthIdleWindows:
-    @pytest.mark.parametrize("backend", backends())
     def test_abutting_segments_price_no_gap(self, backend):
-        vectorized.set_backend(backend)
         platform = platform_with()
         base = [
             seg(0, 0.0, 4.0),
@@ -122,9 +122,7 @@ class TestZeroLengthIdleWindows:
                 horizon[1], rel=REL_TOL
             )
 
-    @pytest.mark.parametrize("backend", backends())
     def test_busy_span_exactly_touching_horizon(self, backend):
-        vectorized.set_backend(backend)
         platform = platform_with()
         base = [seg(0, 0.0, 5.0), seg(1, 5.0, 10.0)]
         segments = tile(base, 40, 10.0)
@@ -137,9 +135,7 @@ class TestZeroLengthIdleWindows:
 class TestShortBackToBackSleeps:
     """Gaps shorter than xi_m: BREAK_EVEN stays powered, ALWAYS pays."""
 
-    @pytest.mark.parametrize("backend", backends())
     def test_sub_break_even_gaps(self, backend):
-        vectorized.set_backend(backend)
         platform = platform_with(xi_m=8.0)
         gap = 3.0  # < xi_m
         busy = 5.0
@@ -176,9 +172,7 @@ class TestShortBackToBackSleeps:
         # inversion is the paper's case for the break-even guard.
         assert always.memory_idle > never.memory_idle
 
-    @pytest.mark.parametrize("backend", backends())
     def test_gap_exactly_at_break_even(self, backend):
-        vectorized.set_backend(backend)
         platform = platform_with(xi_m=8.0)
         gap = 8.0  # == xi_m: sleeping and staying powered cost the same
         copies = 35
@@ -197,9 +191,7 @@ class TestShortBackToBackSleeps:
 
 
 class TestAllCoresIdleBoundaries:
-    @pytest.mark.parametrize("backend", backends())
     def test_leading_and_trailing_idle_windows(self, backend):
-        vectorized.set_backend(backend)
         platform = platform_with(xi_m=8.0)
         copies = 35
         stride = 6.0
@@ -223,9 +215,7 @@ class TestAllCoresIdleBoundaries:
             rel=REL_TOL,
         )
 
-    @pytest.mark.parametrize("backend", backends())
     def test_single_segment_wide_horizon(self, backend):
-        vectorized.set_backend(backend)
         platform = platform_with()
         segments = [seg(0, 10.0, 12.0)]
         horizon = (0.0, 1000.0)
@@ -236,27 +226,27 @@ class TestAllCoresIdleBoundaries:
 
     def test_scalar_reference_is_bit_exact_vs_account(self):
         """On the scalar path the fast accountant is *exactly* account()."""
-        vectorized.set_backend("scalar")
-        platform = platform_with()
-        segments = tile(
-            [seg(0, 0.0, 3.0), seg(1, 1.0, 4.5), seg(2, 6.0, 9.0)], 10, 11.0
-        )
-        horizon = (-5.0, 115.0)
-        schedule = schedule_of(segments)
-        for policy in POLICIES:
-            (fast,) = account_segments(
-                segments, platform, horizon=horizon, memory_policies=(policy,)
+        with using(SolveConfig("scalar")):
+            platform = platform_with()
+            segments = tile(
+                [seg(0, 0.0, 3.0), seg(1, 1.0, 4.5), seg(2, 6.0, 9.0)], 10, 11.0
             )
-            reference = account(
-                schedule, platform, horizon=horizon, memory_policy=policy
+            horizon = (-5.0, 115.0)
+            schedule = schedule_of(segments)
+            for policy in POLICIES:
+                (fast,) = account_segments(
+                    segments, platform, horizon=horizon, memory_policies=(policy,)
+                )
+                reference = account(
+                    schedule, platform, horizon=horizon, memory_policy=policy
+                )
+                assert fast == reference  # dataclass equality: every field
+            direct = _account_segments_scalar(
+                segments, platform, horizon, POLICIES, SleepPolicy.BREAK_EVEN
             )
-            assert fast == reference  # dataclass equality: every field
-        direct = _account_segments_scalar(
-            segments, platform, horizon, POLICIES, SleepPolicy.BREAK_EVEN
-        )
-        assert direct[0] == account(
-            schedule,
-            platform,
-            horizon=horizon,
-            memory_policy=SleepPolicy.BREAK_EVEN,
-        )
+            assert direct[0] == account(
+                schedule,
+                platform,
+                horizon=horizon,
+                memory_policy=SleepPolicy.BREAK_EVEN,
+            )

@@ -26,6 +26,7 @@ from repro.core.blocks import (
     solve_block,
     solve_blocks_by_length,
 )
+from repro.core.solve_config import SolveConfig, using
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
 from repro.models.platform import paper_platform
 from repro.workloads.synthetic import agreeable_trace
@@ -49,10 +50,9 @@ PLATFORMS = {
 
 @pytest.fixture(autouse=True)
 def _numpy_backend():
-    vectorized.set_backend("numpy")
     vectorized.block_arrays_cache_clear()
-    yield
-    vectorized.set_backend(None)
+    with using(SolveConfig("numpy")):
+        yield
     vectorized.block_arrays_cache_clear()
 
 
@@ -238,7 +238,6 @@ def test_batched_dp_leaves_memo_caches_empty():
     ],
 )
 def test_other_backends_keep_the_per_block_path(backend, monkeypatch):
-    vectorized.set_backend(backend)
     block_energy_cache_clear()
     block_calls = []
     kernel_calls = []
@@ -260,9 +259,10 @@ def test_other_backends_keep_the_per_block_path(backend, monkeypatch):
     monkeypatch.setattr(kernels, "solve_block_descent", kernel_spy)
     monkeypatch.setattr(agreeable, "solve_blocks_by_length", no_batching)
     n = 6
-    solve_agreeable(
-        dense_tasks(n, 5), PLATFORMS["paper"], include_transition_overhead=True
-    )
+    with using(SolveConfig(backend)):
+        solve_agreeable(
+            dense_tasks(n, 5), PLATFORMS["paper"], include_transition_overhead=True
+        )
     assert len(block_calls) == n * (n + 1) // 2
     assert len(kernel_calls) == (len(block_calls) if backend == "jit" else 0)
 

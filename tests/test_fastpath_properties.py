@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import vectorized
 from repro.core.blocks import block_energy_cache_clear
+from repro.core.solve_config import SolveConfig, using
 from repro.energy.accounting import SleepPolicy, account_segments
 from repro.experiments.runner import SeriesResult, compare_policies
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
@@ -31,12 +32,6 @@ needs_numpy = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    vectorized.set_backend(None)
-
-
 def experiment_platform(num_cores: int = 4) -> Platform:
     return Platform(
         CorePowerModel(beta=1e-6, lam=3.0, alpha=2.0, s_up=1000.0, xi=5.0),
@@ -49,11 +44,10 @@ def per_backend(build):
     """Evaluate ``build()`` under each backend with cold memo caches."""
     results = {}
     for backend in ("scalar", "numpy"):
-        vectorized.set_backend(backend)
         block_energy_cache_clear()
         vectorized.block_arrays_cache_clear()
-        results[backend] = build()
-    vectorized.set_backend(None)
+        with using(SolveConfig(backend)):
+            results[backend] = build()
     return results["scalar"], results["numpy"]
 
 

@@ -16,21 +16,23 @@ from repro.core.agreeable import solve_agreeable
 from repro.core.common_release import solve_common_release
 from repro.core.fptas import (
     DEFAULT_EPSILON,
-    EPSILON_ENV,
     SOLVER_TIERS,
-    TIER_ENV,
     get_solver_epsilon,
     get_solver_tier,
-    pinned_solver,
-    set_solver_tier,
     solve_agreeable_fptas,
     solve_agreeable_fptas_columns,
     _price_block_discrete,
     solve_common_release_fptas,
-    solver_cache_component,
+)
+from repro.core.solve_config import (
+    EPSILON_ENV,
+    TIER_ENV,
+    SolveConfig,
+    current,
+    using,
 )
 from repro.core.transition import solve_common_release_with_overhead
-from repro.experiments.cache import service_request_key, unit_key
+from repro.experiments.cache import _solver_component, service_request_key, unit_key
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
 from repro.models.platform import paper_platform
 from repro.schedule import validate_schedule
@@ -45,14 +47,10 @@ from repro.workloads.synthetic import agreeable_trace
 
 
 @pytest.fixture(autouse=True)
-def _reset_tier_and_backend(monkeypatch):
-    """Every test starts on the exact tier with no env leakage."""
-    monkeypatch.delenv(TIER_ENV, raising=False)
-    monkeypatch.delenv(EPSILON_ENV, raising=False)
-    set_solver_tier(None)
-    yield
-    set_solver_tier(None)
-    vectorized.set_backend(None)
+def _exact_tier():
+    """Every test starts on the exact tier, whatever the environment says."""
+    with using(replace(current(), tier="exact", epsilon=DEFAULT_EPSILON)):
+        yield
 
 
 def make_platform(alpha: float = 2.0, alpha_m: float = 10.0, xi_m: float = 0.0):
@@ -91,36 +89,42 @@ class TestTierSelection:
         assert get_solver_epsilon() == DEFAULT_EPSILON
 
     def test_override_and_clear(self):
-        set_solver_tier("fptas", 0.5)
-        assert get_solver_tier() == "fptas"
-        assert get_solver_epsilon() == 0.5
-        set_solver_tier(None)
+        with using(SolveConfig(tier="fptas", epsilon=0.5)):
+            assert get_solver_tier() == "fptas"
+            assert get_solver_epsilon() == 0.5
         assert get_solver_tier() == "exact"
         assert get_solver_epsilon() == DEFAULT_EPSILON
 
-    def test_env_fallback_and_override_precedence(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV, "fptas")
-        monkeypatch.setenv(EPSILON_ENV, "0.25")
-        assert get_solver_tier() == "fptas"
-        assert get_solver_epsilon() == 0.25
-        set_solver_tier("exact")
-        assert get_solver_tier() == "exact"
+    def test_env_fallback_and_override_precedence(self):
+        env = {TIER_ENV: "fptas", EPSILON_ENV: "0.25"}
+        config = SolveConfig.from_env(env)
+        assert (config.tier, config.epsilon) == ("fptas", 0.25)
+        assert SolveConfig.from_env(env, tier="exact").tier == "exact"
+        assert SolveConfig.from_env({}).tier == "exact"
+        assert SolveConfig.from_env({}).epsilon == DEFAULT_EPSILON
+        with using(config):
+            assert get_solver_tier() == "fptas"
+            assert get_solver_epsilon() == 0.25
 
     def test_bad_tier_rejected(self):
-        with pytest.raises(ValueError, match="solver tier"):
-            set_solver_tier("annealing")
+        with pytest.raises(ValueError, match="solver must be one of"):
+            SolveConfig(tier="annealing")
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, 2.5, float("nan"), "zero"])
     def test_bad_epsilon_rejected(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
-            set_solver_tier("fptas", eps)
+            SolveConfig(tier="fptas", epsilon=eps)
 
-    def test_pinned_solver_restores(self):
-        set_solver_tier("fptas", 0.5)
-        with pinned_solver("exact"):
-            assert get_solver_tier() == "exact"
-        assert get_solver_tier() == "fptas"
-        assert get_solver_epsilon() == 0.5
+    def test_using_restores(self):
+        with using(SolveConfig(tier="fptas", epsilon=0.5)):
+            with using(SolveConfig()):
+                assert get_solver_tier() == "exact"
+            assert get_solver_tier() == "fptas"
+            assert get_solver_epsilon() == 0.5
+            with pytest.raises(RuntimeError):
+                with using(SolveConfig()):
+                    raise RuntimeError("solve failed")
+            assert get_solver_tier() == "fptas"
 
     def test_tiers_tuple(self):
         assert SOLVER_TIERS == ("exact", "fptas")
@@ -133,38 +137,42 @@ class TestTierSelection:
 
 class TestCacheKeys:
     def test_solver_cache_component(self):
-        assert solver_cache_component() == {"tier": "exact"}
-        set_solver_tier("fptas", 0.25)
-        assert solver_cache_component() == {"tier": "fptas", "epsilon": 0.25}
+        assert _solver_component(SolveConfig()) == {"tier": "exact"}
+        assert _solver_component(SolveConfig(tier="exact", epsilon=0.25)) == {
+            "tier": "exact"
+        }
+        fptas = SolveConfig(tier="fptas", epsilon=0.25)
+        assert _solver_component(fptas) == {"tier": "fptas", "epsilon": 0.25}
 
     def test_unit_key_partitions_tiers(self):
         platform = make_platform()
-        config = {"kind": "synthetic", "n": 4}
-        exact = unit_key(platform, config, 0, "sdem")
-        set_solver_tier("fptas", 0.1)
-        coarse = unit_key(platform, config, 0, "sdem")
-        set_solver_tier("fptas", 0.01)
-        fine = unit_key(platform, config, 0, "sdem")
+        trace = {"kind": "synthetic", "n": 4}
+        exact = unit_key(platform, trace, 0, "sdem")
+        with using(SolveConfig(tier="fptas", epsilon=0.1)):
+            coarse = unit_key(platform, trace, 0, "sdem")
+        fine = unit_key(
+            platform, trace, 0, "sdem", config=SolveConfig(tier="fptas", epsilon=0.01)
+        )
         assert len({exact, coarse, fine}) == 3
 
     def test_service_key_exact_ignores_epsilon_default(self):
         platform = make_platform()
         config = [(0.0, 40.0, 8000.0, "a")]
-        base = service_request_key(platform, config, "section4", "scalar")
+        base = service_request_key(platform, config, "section4", SolveConfig("scalar"))
         explicit = service_request_key(
-            platform, config, "section4", "scalar", solver="exact", epsilon=None
+            platform, config, "section4", SolveConfig("scalar", "exact", 0.5)
         )
         assert base == explicit
 
     def test_service_key_fptas_scoped_by_epsilon(self):
         platform = make_platform()
         config = [(0.0, 40.0, 8000.0, "a")]
-        exact = service_request_key(platform, config, "section4", "scalar")
+        exact = service_request_key(platform, config, "section4", SolveConfig("scalar"))
         coarse = service_request_key(
-            platform, config, "section4", "scalar", solver="fptas", epsilon=0.1
+            platform, config, "section4", SolveConfig("scalar", "fptas", 0.1)
         )
         fine = service_request_key(
-            platform, config, "section4", "scalar", solver="fptas", epsilon=0.01
+            platform, config, "section4", SolveConfig("scalar", "fptas", 0.01)
         )
         assert len({exact, coarse, fine}) == 3
 
@@ -286,8 +294,8 @@ class TestFixedInstanceBounds:
 
     def test_tier_epsilon_used_when_omitted(self):
         platform = make_platform()
-        set_solver_tier("fptas", 0.5)
-        tiered = solve_agreeable_fptas(AGREEABLE, platform)
+        with using(SolveConfig(tier="fptas", epsilon=0.5)):
+            tiered = solve_agreeable_fptas(AGREEABLE, platform)
         explicit = solve_agreeable_fptas(AGREEABLE, platform, epsilon=0.5)
         assert tiered.predicted_energy == explicit.predicted_energy
 
@@ -354,10 +362,10 @@ class TestColumnsPath:
         for backend in ("scalar", "numpy", "jit"):
             if backend == "numpy" and not vectorized.HAS_NUMPY:
                 continue
-            vectorized.set_backend(backend)
-            result = solve_agreeable_fptas_columns(
-                releases, deadlines, workloads, platform, epsilon=0.1
-            )
+            with using(SolveConfig(backend)):
+                result = solve_agreeable_fptas_columns(
+                    releases, deadlines, workloads, platform, epsilon=0.1
+                )
             energies[backend] = result["energy"]
         assert len(set(energies.values())) == 1
 
@@ -422,11 +430,11 @@ class TestBatchedPricer:
             backends.append("jit")
         solved = {}
         for backend in backends:
-            vectorized.set_backend(backend)
             reset_solver_counts()
-            solution = solve_agreeable_fptas(
-                tasks, platform, epsilon=eps, include_transition_overhead=overhead
-            )
+            with using(SolveConfig(backend)):
+                solution = solve_agreeable_fptas(
+                    tasks, platform, epsilon=eps, include_transition_overhead=overhead
+                )
             batched = solver_call_counts().get("golden_section_batch", 0)
             assert (batched > 0) == (backend != "scalar")
             solved[backend] = (
@@ -443,18 +451,18 @@ class TestBatchedPricer:
         assert (columns["energy"], columns["num_blocks"]) == solved["scalar"][:2]
 
     def test_small_solves_stay_scalar(self):
-        vectorized.set_backend("numpy")
-        releases, deadlines, workloads = agreeable_trace(
-            n=32, max_interarrival=20.0, seed=5
-        )
-        reset_solver_counts()
-        result = solve_agreeable_fptas_columns(
-            releases, deadlines, workloads, make_platform(), epsilon=0.1
-        )
-        assert result["max_cluster_size"] > 2
-        counts = solver_call_counts()
-        assert counts.get("golden_section", 0) > 0
-        assert counts.get("golden_section_batch", 0) == 0
+        with using(SolveConfig("numpy")):
+            releases, deadlines, workloads = agreeable_trace(
+                n=32, max_interarrival=20.0, seed=5
+            )
+            reset_solver_counts()
+            result = solve_agreeable_fptas_columns(
+                releases, deadlines, workloads, make_platform(), epsilon=0.1
+            )
+            assert result["max_cluster_size"] > 2
+            counts = solver_call_counts()
+            assert counts.get("golden_section", 0) > 0
+            assert counts.get("golden_section_batch", 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +483,8 @@ class TestAgreeableTrace:
     def test_backend_bit_identity(self):
         if not vectorized.HAS_NUMPY:
             pytest.skip("numpy backend unavailable")
-        vectorized.set_backend("scalar")
-        scalar = agreeable_trace(n=500, max_interarrival=120.0, seed=9)
-        vectorized.set_backend("numpy")
-        batched = agreeable_trace(n=500, max_interarrival=120.0, seed=9)
+        with using(SolveConfig("scalar")):
+            scalar = agreeable_trace(n=500, max_interarrival=120.0, seed=9)
+        with using(SolveConfig("numpy")):
+            batched = agreeable_trace(n=500, max_interarrival=120.0, seed=9)
         assert scalar == batched

@@ -11,7 +11,6 @@ backend-sensitive term sneaking into it.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core import vectorized
@@ -22,6 +21,7 @@ from repro.core.fptas import (
     solve_agreeable_fptas,
     solve_common_release_fptas,
 )
+from repro.core.solve_config import SolveConfig, using
 from repro.core.transition import solve_common_release_with_overhead
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
 from repro.schedule import validate_schedule
@@ -31,20 +31,14 @@ EPSILON = 0.1
 BACKENDS = ["scalar"] + (["numpy", "jit"] if vectorized.HAS_NUMPY else [])
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    vectorized.set_backend(None)
-
-
 def per_backend(solve):
     """``solve()`` under every available backend with cold memo caches."""
     results = {}
     for backend in BACKENDS:
-        vectorized.set_backend(backend)
         block_energy_cache_clear()
         vectorized.block_arrays_cache_clear()
-        results[backend] = solve()
+        with using(SolveConfig(backend)):
+            results[backend] = solve()
     return results
 
 

@@ -9,9 +9,9 @@ Three layers of coverage:
   provider does not import must fall back to numpy/scalar with exactly
   one structured :class:`~repro.core.kernels.JitUnavailableWarning`,
   never a mid-run crash (faked by intercepting the provider import);
-* backend-keyed caching -- ``ResultCache`` keys must differ across all
-  three backends so a jit-computed entry is never served to a numpy (or
-  scalar) request.
+* backend-keyed caching -- ``ResultCache`` keys must differ across
+  every backend this host can run, so a jit-computed entry is never
+  served to a numpy (or scalar) request.
 
 Agreement tests skip wholesale when no compiled provider loads (e.g. a
 CI leg without cffi); the degradation and cache-key tests run
@@ -26,8 +26,9 @@ import warnings
 
 import pytest
 
-from repro.core import kernels, vectorized
+from repro.core import kernels, solve_config, vectorized
 from repro.core.blocks import block_energy, block_energy_cache_clear, solve_block
+from repro.core.solve_config import SolveConfig, using
 from repro.core.transition import solve_common_release_with_overhead
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
 from repro.utils.solvers import bisect_increasing
@@ -37,13 +38,6 @@ REL_TOL = 1e-9
 needs_jit = pytest.mark.skipif(
     not kernels.available(), reason="no compiled kernel provider loads"
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    """Leave the process on auto selection no matter how a test exits."""
-    yield
-    vectorized.set_backend(None)
 
 
 def make_platform(
@@ -82,10 +76,10 @@ def per_backend(solve, backends=("scalar", "numpy", "jit")):
     """Evaluate ``solve()`` under each backend with cold memo caches."""
     results = {}
     for backend in backends:
-        vectorized.set_backend(backend)
         block_energy_cache_clear()
         vectorized.block_arrays_cache_clear()
-        results[backend] = solve()
+        with using(SolveConfig(backend)):
+            results[backend] = solve()
     return results
 
 
@@ -185,14 +179,14 @@ class TestJitAgreement:
             return compiled(tasks, platform, rel_end)
 
         monkeypatch.setattr(kernels, "overhead_solve_small", spy)
-        vectorized.set_backend("jit")
         rng = random.Random(4300)
         platform = make_platform(0.05, xi=5.0, xi_m=2.0)
         limit = kernels.REPRO_MAX_SMALL
-        for n in (limit, limit + 1):
-            solve_common_release_with_overhead(
-                random_common_release_tasks(rng, n), platform
-            )
+        with using(SolveConfig("jit")):
+            for n in (limit, limit + 1):
+                solve_common_release_with_overhead(
+                    random_common_release_tasks(rng, n), platform
+                )
         assert calls == [limit]
 
     @pytest.mark.parametrize("mode", [0, 1])
@@ -266,7 +260,7 @@ class TestJitFallback:
             return real_import(name, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "__import__", failing_import)
-        monkeypatch.setattr(vectorized, "_jit_fallback_warned", False)
+        monkeypatch.setattr(solve_config, "_jit_fallback_warned", False)
         yield
         monkeypatch.setattr(builtins, "__import__", real_import)
         kernels.clear()  # forget the failed resolution for later tests
@@ -276,10 +270,9 @@ class TestJitFallback:
         assert "faked" in (kernels.load_error() or "")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            vectorized.set_backend("jit")
-            resolved = vectorized.get_backend()
+            resolved = SolveConfig("jit").backend
             # Re-requesting must not warn again (one warning per process).
-            vectorized.set_backend("jit")
+            SolveConfig("jit")
         expected = "numpy" if vectorized.HAS_NUMPY else "scalar"
         assert resolved == expected
         jit_warnings = [
@@ -292,11 +285,12 @@ class TestJitFallback:
     def test_fallback_backend_still_solves(self, broken_jit):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            vectorized.set_backend("jit")
+            config = SolveConfig("jit")
         tasks = TaskSet([Task(0.0, 50.0, 3000.0), Task(0.0, 80.0, 4000.0)])
-        solution = solve_common_release_with_overhead(
-            tasks, make_platform(0.05, xi=5.0), horizon_end=120.0
-        )
+        with using(config):
+            solution = solve_common_release_with_overhead(
+                tasks, make_platform(0.05, xi=5.0), horizon_end=120.0
+            )
         assert solution.predicted_energy > 0.0
 
     def test_jit_absent_from_available_backends(self, broken_jit):
@@ -310,8 +304,10 @@ class TestBackendKeyedCache:
         from repro.experiments.cache import unit_key
         from repro.models import paper_platform
 
-        vectorized.set_backend(backend)
-        return unit_key(paper_platform(), {"kind": "synthetic", "n": 4}, 0, "sdem-on")
+        return unit_key(
+            paper_platform(), {"kind": "synthetic", "n": 4}, 0, "sdem-on",
+            config=SolveConfig(backend),
+        )
 
     def _backends(self):
         names = ["scalar"]
@@ -334,15 +330,17 @@ class TestBackendKeyedCache:
 
         cache = ResultCache(root=str(tmp_path))
         platform = paper_platform()
-        config = {"kind": "synthetic", "n": 4}
+        trace = {"kind": "synthetic", "n": 4}
 
-        vectorized.set_backend("jit")
-        jit_key = cache.unit_key(platform, config, 0, "sdem-on")
+        jit_key = cache.unit_key(
+            platform, trace, 0, "sdem-on", config=SolveConfig("jit")
+        )
         cache.put(jit_key, {"energy": 123.0, "backend": "jit"})
         assert cache.get(jit_key) == {"energy": 123.0, "backend": "jit"}
 
-        vectorized.set_backend("numpy")
-        numpy_key = cache.unit_key(platform, config, 0, "sdem-on")
+        numpy_key = cache.unit_key(
+            platform, trace, 0, "sdem-on", config=SolveConfig("numpy")
+        )
         assert numpy_key != jit_key
         assert cache.get(numpy_key) is None
 
@@ -353,11 +351,12 @@ class TestBackendKeyedCache:
         tasks_config = [[0.0, 40.0, 8000.0, "a"]]
         keys = {
             backend: service_request_key(
-                paper_platform(), tasks_config, "common-release", backend
+                paper_platform(), tasks_config, "common-release",
+                SolveConfig(backend),
             )
-            for backend in ("scalar", "numpy", "jit")
+            for backend in self._backends()
         }
-        assert len(set(keys.values())) == 3
+        assert len(set(keys.values())) == len(keys)
 
 
 class TestServiceProtocolJit:

@@ -139,6 +139,20 @@ class TestBackendEnvBCK003:
         source = """
             import os
 
+            def from_env():
+                return os.environ.get("REPRO_NUMERIC")
+        """
+        findings = run_lint(
+            str(tmp_path),
+            {"src/repro/core/solve_config.py": source},
+            rules=["BCK003"],
+        )
+        assert findings == []
+
+    def test_dispatcher_module_flagged(self, tmp_path):
+        source = """
+            import os
+
             def get_backend():
                 return os.environ.get("REPRO_NUMERIC")
         """
@@ -147,7 +161,7 @@ class TestBackendEnvBCK003:
             {"src/repro/core/vectorized.py": source},
             rules=["BCK003"],
         )
-        assert findings == []
+        assert rule_ids(findings) == ["BCK003"]
 
     def test_other_env_vars_allowed(self, tmp_path):
         source = """

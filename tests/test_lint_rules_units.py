@@ -259,6 +259,32 @@ class TestUnitTagCoverageUNT002:
         )
         assert findings == []
 
+    def test_only_the_accessor_may_read_backend_env(self, tmp_path):
+        pyproject = """
+            [tool.repro-lint]
+            unit-tagged-modules = [
+                "repro.core.solve_config",
+                "repro.core.vectorized",
+            ]
+        """
+        reader = """
+            import os
+
+            def backend():
+                return os.environ.get("REPRO_NUMERIC")
+        """
+        findings = run_lint(
+            str(tmp_path),
+            {
+                "pyproject.toml": pyproject,
+                "src/repro/core/solve_config.py": reader,
+                "src/repro/core/vectorized.py": reader,
+            },
+            rules=["UNT002"],
+        )
+        assert rule_ids(findings) == ["UNT002"]
+        assert findings[0].path.endswith("vectorized.py")
+
     def test_scope_configurable_via_pyproject(self, tmp_path):
         pyproject = """
             [tool.repro-lint]

@@ -17,6 +17,7 @@ from repro.core import vectorized
 from repro.core.agreeable import solve_agreeable
 from repro.core.blocks import block_energy, block_energy_cache_clear, solve_block
 from repro.core.common_release import solve_common_release
+from repro.core.solve_config import BACKEND_ENV, SolveConfig, using
 from repro.core.transition import solve_common_release_with_overhead
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
 
@@ -25,13 +26,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 REL_TOL = 1e-9
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    """Leave the process on auto selection no matter how a test exits."""
-    yield
-    vectorized.set_backend(None)
 
 
 def make_platform(
@@ -73,10 +67,10 @@ def per_backend(solve):
     """Evaluate ``solve()`` under each backend with cold memo caches."""
     results = {}
     for backend in ("scalar", "numpy"):
-        vectorized.set_backend(backend)
         block_energy_cache_clear()
         vectorized.block_arrays_cache_clear()
-        results[backend] = solve()
+        with using(SolveConfig(backend)):
+            results[backend] = solve()
     return results["scalar"], results["numpy"]
 
 
@@ -119,9 +113,9 @@ class TestSolveBlockAgreement:
         # stretch of the objective, so cross-check numpy's chosen busy
         # interval by re-pricing it with the scalar reference instead.
         assert_close(s_sol.energy, n_sol.energy)
-        vectorized.set_backend("scalar")
         block_energy_cache_clear()
-        repriced = block_energy(ts, platform, n_sol.start, n_sol.end)
+        with using(SolveConfig("scalar")):
+            repriced = block_energy(ts, platform, n_sol.start, n_sol.end)
         assert repriced == pytest.approx(n_sol.energy, rel=1e-6)
 
 
@@ -173,33 +167,36 @@ class TestAgreeableDpAgreement:
 
 
 class TestBackendSelection:
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(vectorized.BACKEND_ENV, "scalar")
-        vectorized.set_backend(None)
-        assert vectorized.get_backend() == "scalar"
-        monkeypatch.setenv(vectorized.BACKEND_ENV, "numpy")
-        assert vectorized.get_backend() == "numpy"
+    def test_env_var_selects_backend(self):
+        env = {BACKEND_ENV: "scalar"}
+        assert SolveConfig.from_env(env).backend == "scalar"
+        env[BACKEND_ENV] = " NumPy "
+        assert SolveConfig.from_env(env).backend == "numpy"
+        assert SolveConfig.from_env({}).backend == "numpy"
 
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(vectorized.BACKEND_ENV, "scalar")
-        vectorized.set_backend("numpy")
-        assert vectorized.use_numpy()
-        assert vectorized.get_backend_override() == "numpy"
-        vectorized.set_backend(None)
-        assert vectorized.get_backend() == "scalar"
+    def test_override_beats_env(self):
+        env = {BACKEND_ENV: "scalar"}
+        assert SolveConfig.from_env(env, backend="numpy").backend == "numpy"
+        outer = vectorized.get_backend()
+        with using(SolveConfig.from_env(env)):
+            assert vectorized.get_backend() == "scalar"
+            with using(SolveConfig("numpy")):
+                assert vectorized.use_numpy()
+            assert not vectorized.use_numpy()
+        assert vectorized.get_backend() == outer
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown numeric backend"):
-            vectorized.set_backend("cupy")
+        with pytest.raises(ValueError, match="numeric must be 'scalar', 'numpy'"):
+            SolveConfig("cupy")
 
     def test_cache_key_depends_on_backend(self):
         from repro.experiments.cache import unit_key
         from repro.models import paper_platform
 
         platform = paper_platform()
-        config = {"kind": "synthetic", "n": 4}
-        vectorized.set_backend("scalar")
-        scalar_key = unit_key(platform, config, 0, "sdem-on")
-        vectorized.set_backend("numpy")
-        numpy_key = unit_key(platform, config, 0, "sdem-on")
+        trace = {"kind": "synthetic", "n": 4}
+        scalar = SolveConfig("scalar")
+        scalar_key = unit_key(platform, trace, 0, "sdem-on", config=scalar)
+        with using(SolveConfig("numpy")):
+            numpy_key = unit_key(platform, trace, 0, "sdem-on")
         assert scalar_key != numpy_key

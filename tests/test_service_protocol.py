@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core import vectorized
+from repro.core.solve_config import SolveConfig, using
 from repro.models import paper_platform
 from repro.serialization import SCHEMA_VERSION
 from repro.service.protocol import (
@@ -181,14 +182,10 @@ class TestExecution:
     @pytest.mark.skipif(not vectorized.HAS_NUMPY, reason="needs numpy")
     def test_backends_agree_on_energy(self):
         request = request_from_wire(wire_solve())
-        previous = vectorized.get_backend_override()
-        try:
-            vectorized.set_backend("scalar")
+        with using(SolveConfig("scalar")):
             scalar = execute_request(request)
-            vectorized.set_backend("numpy")
+        with using(SolveConfig("numpy")):
             numpy = execute_request(request)
-        finally:
-            vectorized.set_backend(previous)
         assert scalar["energy"]["total"] == pytest.approx(
             numpy["energy"]["total"], rel=1e-9
         )

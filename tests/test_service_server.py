@@ -175,10 +175,10 @@ class TestBackendResolution:
     def test_default_request_keeps_its_backend_while_a_batch_is_pinned(
         self, monkeypatch
     ):
-        """Requests batched while the solve thread has pinned another
-        backend keep their own: a default request solves under the
-        service default and never shares a batch with explicit requests
-        for the pinned backend."""
+        """Requests batched while the solve thread runs another backend
+        keep their own: a default request solves under the service
+        default and never shares a batch with explicit requests for the
+        running batch's backend."""
         default = vectorized.get_backend()
         pinned = "numpy" if default == "scalar" else "scalar"
         started, release = threading.Event(), threading.Event()
@@ -198,7 +198,8 @@ class TestBackendResolution:
             )
             loop = asyncio.get_running_loop()
             assert await loop.run_in_executor(None, started.wait, 30)
-            assert vectorized.get_backend() == pinned  # A's batch holds the pin
+            # A's config is scoped to its batch: this thread keeps its own.
+            assert vectorized.get_backend() == default
             rest = [
                 asyncio.create_task(service.handle_message(solve_wire("B"))),
                 asyncio.create_task(

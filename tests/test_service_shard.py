@@ -129,8 +129,8 @@ class TestShardedQueue:
 
 class TestByteIdentity:
     def _expected(self, wires):
-        # expected_result pins each wire's numeric backend around the
-        # direct call, exactly like the service's per-batch resolution.
+        # expected_result solves each wire under the config it resolves
+        # to here, exactly like the service's per-batch resolution.
         return [
             protocol.canonical_result_bytes(expected_result(dict(w)))
             for w in wires
