@@ -280,6 +280,18 @@ class TestGlobalFlags:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_only_solving_commands_read_the_solve_environment(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setenv("REPRO_SOLVER_EPSILON", "not-a-number")
+        assert main(["check", "--list-rules"]) == 0
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        with pytest.raises(SystemExit, match="epsilon must be a number"):
+            main(["solve", "--demo"])
+        # Flags are still checked on every command.
+        with pytest.raises(SystemExit, match="epsilon only applies"):
+            main(["submit", "--epsilon", "0.1"])
+
 
 @contextlib.contextmanager
 def background_server(**service_kwargs):
