@@ -491,7 +491,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = SolveService(
         capacity=args.capacity,
         shed_threshold=args.shed_threshold,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         shards=args.shards,
         cache=cache,
@@ -857,7 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_cc.set_defaults(func=_cmd_cache)
 
     p_serve = sub.add_parser(
-        "serve", help="run the async batched solve service (docs/SERVICE.md)"
+        "serve", help="run the async batched solve service (docs/SERVICE.md)",
+        description="Each shard dispatches on idle, with at most 2 pops "
+        "outstanding; timing.queue_ms is admission to executor hand-off.",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7070, help="0 = ephemeral")
@@ -869,12 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue fill fraction where sweep-lane shedding starts",
     )
     p_serve.add_argument(
-        "--batch-window-ms", type=float, default=10.0, dest="batch_window_ms",
-        help="micro-batch coalescing window",
-    )
-    p_serve.add_argument(
         "--max-batch", type=int, default=32, dest="max_batch",
-        help="requests per micro-batch",
+        help="most requests one pop takes as a micro-batch",
     )
     p_serve.add_argument(
         "--shards", type=int, default=0,

@@ -114,11 +114,18 @@ STREAMING_SLO_P99_MS = 50.0
 SERVICE_WORKER_COUNTS: List[int] = [1, 2, 4]
 QUICK_SERVICE_WORKER_COUNTS: List[int] = [1, 2]
 SERVICE_N_JOBS = 240
-QUICK_SERVICE_N_JOBS = 60
+#: Sized from the spread of the 1-shard walls the regression gate reads:
+#: over 8 quick runs on a 2-CPU host, the cold wall's quartiles spanned
+#: 33% of its median at 60 jobs, wider than the 25% gate, and 11% at 600.
+QUICK_SERVICE_N_JOBS = 600
 #: Offered rate: high enough that the server, not the arrival spacing,
 #: is the bottleneck on the cold pass (n jobs span ~n/rate seconds).
 SERVICE_RATE_JOBS_S = 2000.0
 SERVICE_SEED = 7
+#: A pass is ``saturated`` when its completions, counted over their own
+#: span, kept pace with less than this fraction of the offered rate: the
+#: backlog grew, so its percentiles measure queueing, not service time.
+SERVICE_KEEP_UP = 0.95
 #: Platform-parameter rotation: the shard tier routes by platform
 #: fingerprint, so a single-platform stream would exercise exactly one
 #: shard.  Eight distinct memory-power points spread the ring.
@@ -792,7 +799,10 @@ def run_bench_service(
     consistent-hash ring spreads load across all W shards.  The first
     pass is all cache misses (solve throughput), the repeat is all hits
     (service-overhead throughput); both record throughput and wall P50 /
-    P99.
+    P99.  Each pass also records the stream's ``offered_jobs_s`` beside
+    ``completed_jobs_s`` (completions over their own span) and is marked
+    ``saturated`` when it completed less than :data:`SERVICE_KEEP_UP` of
+    what was offered.
 
     ``modes.serial_cold`` / ``modes.warm_cache`` carry the one-worker
     walls, making the report gateable by :func:`check_serial_regression`
@@ -805,6 +815,7 @@ def run_bench_service(
     import tempfile
 
     from repro.replay import ArrivalSpec
+    from repro.replay.arrivals import offered_rate_jobs_s, span_rate_jobs_s
     from repro.replay.sinks import replay_service
     from repro.service.metrics import nearest_rank
     from repro.service.server import SolveService
@@ -819,6 +830,7 @@ def run_bench_service(
         raise ValueError(f"worker counts must be >= 1, got {worker_counts}")
     spec = ArrivalSpec(mode="poisson", n=n, rate_jobs_s=rate_jobs_s, seed=seed)
     jobs = list(spec.jobs())
+    offered_jobs_s = offered_rate_jobs_s(jobs)
     capacity = max(64, 2 * n)  # never shed: throughput, not admission, is measured
 
     async def drive(shards: int) -> Dict[str, object]:
@@ -839,11 +851,18 @@ def run_bench_service(
                 done = outcome.completed
                 latencies = sorted(record.latency_ms for record in done)
                 wall_s = outcome.wall_seconds
+                completed_jobs_s = span_rate_jobs_s(
+                    sorted(record.finish_ms for record in done)
+                )
                 passes[label] = {
                     "wall_s": round(wall_s, 4),
                     "throughput_jobs_s": round(len(done) / wall_s, 2)
                     if wall_s > 0
                     else None,
+                    "offered_jobs_s": round(offered_jobs_s, 2),
+                    "completed_jobs_s": round(completed_jobs_s, 2),
+                    "saturated": completed_jobs_s
+                    < SERVICE_KEEP_UP * offered_jobs_s,
                     "p50_ms": nearest_rank(latencies, 50.0),
                     "p99_ms": nearest_rank(latencies, 99.0),
                     "done": len(done),
@@ -912,6 +931,7 @@ def render_bench_service_table(report: Dict[str, object]) -> str:
         f"platforms={sl['platforms']} (backend {report['backend']}, "
         f"{report['cpu_count']} core(s))",
         f"{'shards':>6s} {'pass':>5s} {'wall s':>8s} {'thr j/s':>9s} "
+        f"{'offer j/s':>9s} {'kept j/s':>9s} "
         f"{'p50 ms':>8s} {'p99 ms':>8s} {'done':>5s} {'shed':>5s} {'err':>4s}",
     ]
     for point in report["points"]:
@@ -921,10 +941,17 @@ def render_bench_service_table(report: Dict[str, object]) -> str:
                 f"{point['shards']:>6d} {label:>5s} "
                 f"{row['wall_s']:>8.3f} "
                 f"{row['throughput_jobs_s'] or float('nan'):>9.1f} "
+                f"{row['offered_jobs_s']:>9.1f} {row['completed_jobs_s']:>9.1f} "
                 f"{row['p50_ms'] or float('nan'):>8.2f} "
                 f"{row['p99_ms'] or float('nan'):>8.2f} "
                 f"{row['done']:>5d} {row['shed']:>5d} {row['errors']:>4d}"
+                + ("  saturated" if row["saturated"] else "")
             )
+    lines.append(
+        f"kept j/s: completions over their own span; saturated: kept < "
+        f"{SERVICE_KEEP_UP:g} x offered, so that row's percentiles measure "
+        "backlog, not service time"
+    )
     speed = report["speedup"]
     ratio = speed.get("parallel_vs_serial")
     lines.append(

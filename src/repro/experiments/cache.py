@@ -23,6 +23,15 @@ key, written atomically (temp file + ``os.replace``) so concurrent
 worker processes never observe torn entries.  Values round-trip floats
 exactly (``json`` uses shortest-repr), so warm-cache reruns reproduce
 byte-identical CSV rows.
+
+Each file is an envelope ``{format, key, sha256, value}``, and
+:meth:`ResultCache.get` serves only what it can verify: the format
+(:data:`ENTRY_FORMAT`), the stored key against the requested one, the
+SHA-256 of the value's canonical bytes, and the value's shape for its
+reader.  Anything else -- text that is not JSON, a bare value written
+before the envelope existed, an edited float, an entry copied under
+another key's path -- is a *corrupt* miss: the caller recomputes and
+overwrites it, and the cache counts it.
 """
 
 from __future__ import annotations
@@ -32,13 +41,14 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.solve_config import SolveConfig, current
 from repro.models.platform import Platform
 
 __all__ = [
     "CODE_SALT",
+    "ENTRY_FORMAT",
     "CacheStats",
     "ResultCache",
     "default_cache_root",
@@ -59,6 +69,10 @@ __all__ = [
 #: instead of the numpy prefix scan; libm ``pow`` and numpy ``**`` differ
 #: in the last bit, so a few such energies move by 1 ulp.
 CODE_SALT = "sdem-experiments-v4"
+
+#: The on-disk envelope version.  Files without it (every entry written
+#: before the envelope) fail verification once and are then overwritten.
+ENTRY_FORMAT = "repro-cache-entry/1"
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -100,9 +114,20 @@ def _solver_component(config: SolveConfig) -> Dict[str, object]:
     return {"tier": "exact"}
 
 
-def _digest(payload: Dict[str, object]) -> str:
+def _digest(payload: object) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _verified(entry: object, key: str) -> bool:
+    """Whether ``entry`` is an intact envelope stored under ``key``."""
+    return (
+        isinstance(entry, dict)
+        and entry.get("format") == ENTRY_FORMAT
+        and entry.get("key") == key
+        and "value" in entry
+        and entry.get("sha256") == _digest(entry["value"])
+    )
 
 
 def unit_key(
@@ -179,13 +204,18 @@ class CacheStats:
     total_bytes: int
     hits: int
     misses: int
+    #: Entries on disk whose envelope fails verification.
+    corrupt_entries: int = 0
+    #: Misses this process counted because an entry failed its check.
+    corrupt: int = 0
 
     def render(self) -> str:
         return (
             f"cache root: {self.root}\n"
-            f"entries:    {self.entries}\n"
+            f"entries:    {self.entries} ({self.corrupt_entries} corrupt)\n"
             f"size:       {self.total_bytes / 1024.0:.1f} KiB\n"
-            f"session:    {self.hits} hit(s), {self.misses} miss(es)"
+            f"session:    {self.hits} hit(s), {self.misses} miss(es), "
+            f"{self.corrupt} corrupt"
         )
 
 
@@ -194,14 +224,16 @@ class ResultCache:
 
     Instances are picklable and cheap; worker processes of the parallel
     engine each carry a copy and read/write the shared directory directly.
-    Hit/miss counters are therefore per-process -- the authoritative view
-    is :meth:`stats`, which counts entries on disk.
+    Hit/miss/corrupt counters are therefore per-process -- the
+    authoritative view is :meth:`stats`, which counts entries on disk.
     """
 
     def __init__(self, root: Optional[str] = None):
         self.root = root if root is not None else default_cache_root()
         self.hits = 0
         self.misses = 0
+        #: Misses caused by an entry that failed verification.
+        self.corrupt = 0
 
     # -- keying ---------------------------------------------------------------
 
@@ -221,23 +253,39 @@ class ResultCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key[2:] + ".json")
 
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        """The stored value for ``key``, or ``None`` on a miss.
+    def get(
+        self, key: str, shape: Optional[Callable[[object], bool]] = None
+    ) -> Optional[Dict[str, object]]:
+        """The verified value stored under ``key``, or ``None`` on a miss.
 
-        Unreadable/corrupt entries (interrupted writers predating the
-        atomic-replace scheme, disk trouble) count as misses.
+        ``shape`` is the reader's check of the value itself.  An entry that
+        exists but fails the envelope check or ``shape`` is a miss that
+        also counts in :attr:`corrupt`; the caller's :meth:`put` of the
+        recomputed value overwrites it.
         """
         try:
             with open(self._path(key), "r", encoding="utf-8") as handle:
-                value = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
+                entry = json.load(handle)
+        except FileNotFoundError:
             self.misses += 1
             return None
-        self.hits += 1
-        return value
+        except (ValueError, OSError):  # not JSON, not UTF-8, unreadable
+            entry = None
+        if _verified(entry, key) and (shape is None or shape(entry["value"])):
+            self.hits += 1
+            return entry["value"]
+        self.misses += 1
+        self.corrupt += 1
+        return None
 
     def put(self, key: str, value: Dict[str, object]) -> None:
-        """Atomically persist ``value`` under ``key``."""
+        """Atomically persist ``value`` under ``key``, in its envelope."""
+        entry = {
+            "format": ENTRY_FORMAT,
+            "key": key,
+            "sha256": _digest(value),
+            "value": value,
+        }
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -245,7 +293,7 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(value, handle)
+                json.dump(entry, handle)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -268,20 +316,31 @@ class ResultCache:
                     yield os.path.join(shard_dir, name)
 
     def stats(self) -> CacheStats:
+        """Entries on disk (each one's envelope verified) and this session."""
         entries = 0
         total_bytes = 0
+        corrupt_entries = 0
         for path in self._entry_paths():
+            shard_dir, name = os.path.split(path)
+            key = os.path.basename(shard_dir) + name[: -len(".json")]
             try:
                 total_bytes += os.path.getsize(path)
-            except OSError:
+                with open(path, "r", encoding="utf-8") as handle:
+                    entry = json.load(handle)
+            except FileNotFoundError:
                 continue
+            except (ValueError, OSError):
+                entry = None
             entries += 1
+            corrupt_entries += not _verified(entry, key)
         return CacheStats(
             root=self.root,
             entries=entries,
             total_bytes=total_bytes,
             hits=self.hits,
             misses=self.misses,
+            corrupt_entries=corrupt_entries,
+            corrupt=self.corrupt,
         )
 
     def clear(self) -> int:
@@ -301,6 +360,4 @@ class ResultCache:
         return {"root": self.root}
 
     def __setstate__(self, state):
-        self.root = state["root"]
-        self.hits = 0
-        self.misses = 0
+        self.__init__(state["root"])

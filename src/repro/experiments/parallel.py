@@ -169,6 +169,13 @@ def _unit_cache_keys(
     }
 
 
+def _unit_entry_shape(value: object) -> bool:
+    """What :func:`run_unit` reads from a cached policy entry."""
+    return isinstance(value, dict) and all(
+        type(value.get(field)) in (int, float) for field in ("total", "memory")
+    )
+
+
 def run_unit(
     spec: PointSpec,
     seed: int,
@@ -186,7 +193,9 @@ def run_unit(
     keys = _unit_cache_keys(spec, seed, cache, config)
     if keys is not None:
         start = time.perf_counter()
-        stored = [cache.get(keys[policy]) for policy in POLICY_ORDER]
+        stored = [
+            cache.get(keys[policy], _unit_entry_shape) for policy in POLICY_ORDER
+        ]
         if all(entry is not None for entry in stored):
             return UnitResult(
                 seed=seed,

@@ -49,6 +49,7 @@ __all__ = [
     "mmpp_jobs",
     "offered_rate_jobs_s",
     "poisson_jobs",
+    "span_rate_jobs_s",
     "trace_jobs",
 ]
 
@@ -174,14 +175,20 @@ def trace_jobs(tasks: Iterable[Task]) -> Iterator[Job]:
 
 
 @unit(JOBS_PER_S)
-def offered_rate_jobs_s(jobs: Sequence[Job]) -> float:
-    """Realized offered rate of a job stream: count over arrival span."""
-    if len(jobs) < 2:
+def span_rate_jobs_s(instants_ms: Sequence[float]) -> float:
+    """Events per second over their own span, for ordered instants (ms)."""
+    if len(instants_ms) < 2:
         return 0.0
-    span_ms = jobs[-1].arrival_ms - jobs[0].arrival_ms
+    span_ms = instants_ms[-1] - instants_ms[0]
     if span_ms <= 0.0:
         return math.inf
-    return (len(jobs) - 1) / (span_ms / _MS_PER_S)
+    return (len(instants_ms) - 1) / (span_ms / _MS_PER_S)
+
+
+@unit(JOBS_PER_S)
+def offered_rate_jobs_s(jobs: Sequence[Job]) -> float:
+    """Realized offered rate of a job stream: count over arrival span."""
+    return span_rate_jobs_s([job.arrival_ms for job in jobs])
 
 
 @unit(MS)

@@ -2,14 +2,17 @@
 
 Requests popped from one admission shard are grouped into *micro-batches*
 of compatible requests -- same platform fingerprint, same numeric
-backend, same solver tier -- in arrival order.  One batch is one
+backend, same solver tier -- in arrival order.  One pop's batches are one
 :meth:`Executor.submit`; both service tiers then run the same
-:func:`execute_batch_requests` core, which
+:func:`execute_batch_requests` core on each batch, which
 
 1. prices every request against the experiment engine's on-disk
    :class:`~repro.experiments.cache.ResultCache` (keys from
    :func:`repro.experiments.cache.service_request_key`, so entries are
-   shared with any other server pointed at the same directory);
+   shared with any other server pointed at the same directory); an entry
+   that fails verification, or whose energy does not round-trip
+   :func:`~repro.service.protocol.energy_from_wire`, is a miss reported
+   as ``cache_corrupt``;
 2. warms the vectorized numeric core for all cache-missing task sets in one
    :func:`repro.core.vectorized.prefetch_block_arrays` pass;
 3. solves the misses via :func:`repro.service.protocol.execute_request`
@@ -52,6 +55,7 @@ __all__ = [
     "InlineExecutor",
     "batch_key",
     "execute_batch_requests",
+    "execute_batches",
     "finalize_outcomes",
     "form_batches",
 ]
@@ -106,6 +110,15 @@ def form_batches(
     return batches
 
 
+def _result_shape(value: object) -> bool:
+    """A cached result is a dict whose energy round-trips the wire form."""
+    energy = value.get("energy") if isinstance(value, dict) else None
+    try:
+        return protocol.energy_to_wire(protocol.energy_from_wire(energy)) == energy
+    except (KeyError, TypeError, ValueError):
+        return False
+
+
 def execute_batch_requests(
     requests: Sequence[protocol.SolveRequest],
     cache: Optional[ResultCache],
@@ -121,12 +134,23 @@ def execute_batch_requests(
 
     Returns one outcome dict per request, in order: either
     ``{"ok": True, "result", "scheme", "cache", "solve_ms", "backend"}``
-    or ``{"ok": False, "code", "message"}``.  Outcomes are plain JSON-able
+    (plus ``"cache_corrupt": True`` when a corrupt entry was replaced) or
+    ``{"ok": False, "code", "message"}``.  Outcomes are plain JSON-able
     data so they can cross a process boundary; the caller turns them into
     wire responses and metrics on its side.
     """
     with using(config):
         return _solve_batch(requests, cache, config)
+
+
+def execute_batches(
+    batches: Sequence[Sequence[protocol.SolveRequest]],
+    cache: Optional[ResultCache],
+) -> List[List[Dict[str, object]]]:
+    """One submission: each batch in turn, under its requests' admitted config."""
+    return [
+        execute_batch_requests(batch, cache, batch[0].config) for batch in batches
+    ]
 
 
 def _solve_batch(
@@ -153,8 +177,10 @@ def _solve_batch(
             if cache is not None
             else None
         )
-        stored = cache.get(key) if key is not None else None
-        plans.append((scheme, key, stored))
+        corrupt_before = cache.corrupt if cache is not None else 0
+        stored = cache.get(key, _result_shape) if key is not None else None
+        corrupt = cache is not None and cache.corrupt > corrupt_before
+        plans.append((scheme, key, stored, corrupt))
         if stored is None:
             misses.append(request)
     # ... then warm the vectorized core for every miss in one pass.
@@ -169,7 +195,7 @@ def _solve_batch(
         if isinstance(plan, protocol.ProtocolError):
             out.append({"ok": False, "code": plan.code, "message": plan.message})
             continue
-        scheme, key, stored = plan
+        scheme, key, stored, corrupt = plan
         if stored is None and key is not None:
             stored = fresh.get(key)
         start = time.perf_counter()
@@ -195,16 +221,17 @@ def _solve_batch(
             )
             continue
         solve_ms = (time.perf_counter() - start) * 1000.0
-        out.append(
-            {
-                "ok": True,
-                "result": result,
-                "scheme": scheme,
-                "cache": cache_state,
-                "solve_ms": solve_ms,
-                "backend": config.backend,
-            }
-        )
+        outcome = {
+            "ok": True,
+            "result": result,
+            "scheme": scheme,
+            "cache": cache_state,
+            "solve_ms": solve_ms,
+            "backend": config.backend,
+        }
+        if corrupt:
+            outcome["cache_corrupt"] = True
+        out.append(outcome)
     return out
 
 
@@ -243,6 +270,8 @@ def finalize_outcomes(
             )
             continue
         cache_state = str(outcome["cache"])
+        if outcome.get("cache_corrupt"):
+            metrics.counter("repro_cache_corrupt_total").inc()
         if cache_state == "hit":
             metrics.counter("repro_cache_hits_total").inc()
         elif cache_state == "miss":
@@ -285,8 +314,8 @@ def finalize_outcomes(
 class Executor(Protocol):
     """One dispatch loop's batch runner; both service tiers implement it.
 
-    ``submit`` resolves to one outcome dict per request (see
-    :func:`execute_batch_requests`); ``provenance`` is merged into every
+    ``submit`` takes one pop's batches and resolves to one outcome list
+    per batch (see :func:`execute_batches`); ``provenance`` is merged into every
     ok response's provenance; ``memo_stats`` is flushed into
     ``repro_shard_<key>{shard=...}`` gauges at drain.
     """
@@ -294,8 +323,8 @@ class Executor(Protocol):
     provenance: Dict[str, object]
 
     def submit(
-        self, requests: Sequence[protocol.SolveRequest], config: SolveConfig
-    ) -> "Future[List[Dict[str, object]]]": ...
+        self, batches: Sequence[Sequence[protocol.SolveRequest]]
+    ) -> "Future[List[List[Dict[str, object]]]]": ...
 
     def memo_stats(self) -> Dict[str, float]: ...
 
@@ -318,11 +347,9 @@ class InlineExecutor:
         )
 
     def submit(
-        self, requests: Sequence[protocol.SolveRequest], config: SolveConfig
-    ) -> "Future[List[Dict[str, object]]]":
-        return self._thread.submit(
-            execute_batch_requests, list(requests), self.cache, config
-        )
+        self, batches: Sequence[Sequence[protocol.SolveRequest]]
+    ) -> "Future[List[List[Dict[str, object]]]]":
+        return self._thread.submit(execute_batches, batches, self.cache)
 
     def memo_stats(self) -> Dict[str, float]:
         """Nothing to flush: per-shard memo gauges belong to the shard tier."""

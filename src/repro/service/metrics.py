@@ -335,13 +335,14 @@ SERVICE_METRICS = (
     ("counter", "repro_cancelled_total", "requests cancelled before dispatch"),
     ("counter", "repro_cache_hits_total", "solve results served from the result cache"),
     ("counter", "repro_cache_misses_total", "solve results computed fresh"),
+    ("counter", "repro_cache_corrupt_total", "cache entries that failed verification and were recomputed"),
     ("counter", "repro_batches_total", "micro-batches dispatched"),
     ("counter", "repro_batched_requests_total", "requests that shared a batch of size > 1"),
     ("gauge", "repro_queue_depth", "admitted requests waiting for dispatch"),
     ("gauge", "repro_degraded", "1 while sweep-lane shedding is active"),
     ("gauge", "repro_inflight", "requests currently executing"),
     ("histogram", "repro_batch_size", "requests per dispatched micro-batch"),
-    ("histogram", "repro_queue_wait_ms", "admission-to-dispatch wait"),
+    ("histogram", "repro_queue_wait_ms", "admission to hand-off to the executor"),
     ("histogram", "repro_solve_latency_ms", "per-request solve latency"),
 )
 

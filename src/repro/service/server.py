@@ -20,9 +20,11 @@ in-flight request, flushes the responses, closes connections and returns
 -- the clean-drain contract the CI smoke job asserts.
 
 Each executor has one dispatch loop, the same code for both tiers: it
-sleeps one ``batch_window_ms`` after waking so concurrent arrivals
-coalesce, then pops its shard of the queue and hands compatibility-grouped
-batches to its executor.
+pops its shard of the queue whenever the executor has room (at most
+:data:`POPS_IN_FLIGHT` pops outstanding) and hands each pop's batches to
+its executor as one submission.  An idle shard adds no wait; arrivals at
+a busy one pile up and leave together.  ``timing.queue_ms`` is admission
+to hand-off.
 """
 
 from __future__ import annotations
@@ -46,7 +48,11 @@ from repro.service.metrics import MetricsRegistry, labelled_name, service_metric
 from repro.service.queue import AdmissionQueue, QueueEntry
 from repro.service.shard import ShardPool
 
-__all__ = ["SolveService", "run_server"]
+__all__ = ["POPS_IN_FLIGHT", "SolveService", "run_server"]
+
+#: Pops a dispatch loop keeps outstanding on its executor: one runs while
+#: the next waits, so the executor never idles on a round trip.
+POPS_IN_FLIGHT = 2
 
 
 class SolveService:
@@ -73,7 +79,6 @@ class SolveService:
         *,
         capacity: int = 256,
         shed_threshold: float = 0.8,
-        batch_window_ms: float = 10.0,
         max_batch: int = 32,
         shards: int = 0,
         cache: Optional[ResultCache] = None,
@@ -104,7 +109,6 @@ class SolveService:
             self.metrics.gauge(labelled_name("repro_shard_queue_depth", shard=index))
             for index in range(shards)
         ]
-        self.batch_window_ms = batch_window_ms
         self.max_batch = max_batch
         self._draining = False
         self._drain_task: Optional[asyncio.Task] = None
@@ -285,54 +289,47 @@ class SolveService:
             )
 
     async def _dispatch_loop(self, index: int) -> None:
-        """Shard ``index``'s loop: pop its queue, batch, feed its executor."""
+        """Shard ``index``'s loop: pop its queue whenever its executor has room."""
         wake = self._wakes[index]
+        room = asyncio.Semaphore(POPS_IN_FLIGHT)
         while True:
-            if self.queue.shard_depth(index) == 0:
+            await room.acquire()
+            while self.queue.shard_depth(index) == 0:
                 if self._draining:
-                    break
-                try:
-                    await asyncio.wait_for(wake.wait(), timeout=0.1)
-                except asyncio.TimeoutError:
-                    continue
+                    return
+                await wake.wait()  # admission and drain both set it
                 wake.clear()
-                continue
-            # Coalescing window: let concurrent arrivals pile up so
-            # compatible requests share a batch.
-            if self.batch_window_ms > 0.0:
-                await asyncio.sleep(self.batch_window_ms / 1000.0)
             ready, expired, cancelled = self.queue.pop_batch(self.max_batch, index)
             self._update_queue_gauges()
             self._fail_stale(expired, cancelled)
-            for batch in form_batches(ready, self.max_batch):
-                task = asyncio.create_task(self._run_batch(index, batch))
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
+            task = asyncio.create_task(self._run_pop(index, ready))
+            self._inflight.add(task)
+            task.add_done_callback(self._inflight.discard)
+            task.add_done_callback(lambda _: room.release())
 
-    async def _run_batch(self, index: int, entries: List[QueueEntry]) -> None:
-        """Run one formed batch on executor ``index``; resolve its entries.
+    async def _run_pop(self, index: int, ready: List[QueueEntry]) -> None:
+        """Run one pop's batches as one submission to executor ``index``.
 
         Both tiers record their batch metrics here and build their
         responses through :func:`finalize_outcomes`; only the executor's
         ``provenance`` stamp tells them apart on the wire.
         """
+        batches = form_batches(ready, self.max_batch)
+        if not batches:
+            return
         executor = self.executors[index]
         metrics = self.metrics
-        metrics.counter("repro_batches_total").inc()
-        metrics.histogram("repro_batch_size").observe(len(entries))
-        if len(entries) > 1:
-            metrics.counter("repro_batched_requests_total").inc(len(entries))
+        for batch in batches:
+            metrics.counter("repro_batches_total").inc()
+            metrics.histogram("repro_batch_size").observe(len(batch))
+            if len(batch) > 1:
+                metrics.counter("repro_batched_requests_total").inc(len(batch))
         inflight = metrics.gauge("repro_inflight")
-        inflight.inc(len(entries))
+        inflight.inc(len(ready))
         dispatched = time.monotonic()
-        waits_ms = [
-            max(0.0, (dispatched - entry.enqueued_at) * 1000.0) for entry in entries
-        ]
         try:
             outcomes = await asyncio.wrap_future(
-                executor.submit(
-                    [entry.request for entry in entries], entries[0].request.config
-                )
+                executor.submit([[entry.request for entry in b] for b in batches])
             )
         except Exception as exc:
             # An executor that fails outright still owes every admitted
@@ -343,18 +340,22 @@ class SolveService:
                 "message": f"executor failure: {type(exc).__name__}: {exc}",
                 **executor.provenance,
             }
-            outcomes = [failure] * len(entries)
+            outcomes = [[failure] * len(batch) for batch in batches]
         finally:
-            inflight.dec(len(entries))
-        responses = finalize_outcomes(
-            entries,
-            outcomes,
-            waits_ms,
-            metrics,
-            provenance_extra=executor.provenance,
-        )
-        for entry, response in responses:
-            self._resolve(entry, response)
+            inflight.dec(len(ready))
+        for batch, batch_outcomes in zip(batches, outcomes):
+            waits_ms = [
+                max(0.0, (dispatched - entry.enqueued_at) * 1000.0) for entry in batch
+            ]
+            responses = finalize_outcomes(
+                batch,
+                batch_outcomes,
+                waits_ms,
+                metrics,
+                provenance_extra=executor.provenance,
+            )
+            for entry, response in responses:
+                self._resolve(entry, response)
 
     @staticmethod
     def _resolve(entry: QueueEntry, response: Dict[str, object]) -> None:

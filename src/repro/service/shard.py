@@ -25,9 +25,9 @@ executor uses, so canonical result bytes are identical for 0, 1 and N
 shards, cold and warm cache (asserted by ``tests/test_service_shard.py``
 and the ``service-shard-smoke`` CI job).
 
-Worker loss: a shard whose worker process dies fails only the batch that
-worker was running, with the retryable ``SHEDDING`` code and a
-``retry_after_ms``, and hands its next batch to a fresh worker (counted
+Worker loss: a shard whose worker process dies fails only the
+submissions that worker held, with the retryable ``SHEDDING`` code and a
+``retry_after_ms``, and hands its next submission to a fresh worker (counted
 in ``repro_shard_respawns_total``).  Work moves to a live worker instead
 of the shard failing everything routed to it from then on.
 """
@@ -41,11 +41,10 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import vectorized
-from repro.core.solve_config import SolveConfig
 from repro.experiments.cache import ResultCache, platform_fingerprint
 from repro.experiments.parallel import WorkerProcess
 from repro.service import protocol
-from repro.service.batcher import execute_batch_requests
+from repro.service.batcher import execute_batches
 from repro.service.metrics import MetricsRegistry, labelled_name
 from repro.service.ring import DEFAULT_VNODES, HashRing
 
@@ -92,19 +91,18 @@ def _worker_cache(root: Optional[str]) -> Optional[ResultCache]:
 
 
 def shard_execute(
-    requests: Sequence[protocol.SolveRequest],
+    batches: Sequence[Sequence[protocol.SolveRequest]],
     cache_root: Optional[str],
-    config: SolveConfig,
-) -> List[Dict[str, object]]:
-    """Worker-side entry point: execute one compatible micro-batch.
+) -> List[List[Dict[str, object]]]:
+    """Worker-side entry point: execute one pop's compatible micro-batches.
 
     Runs inside the shard's worker process, through the exact execution
     core the inline executor uses, against the worker's handle on the
     shared on-disk cache.  Returns the plain JSON-able outcome dicts of
-    :func:`execute_batch_requests`; the parent turns them into wire
-    responses and metrics.
+    :func:`execute_batches`; the parent turns them into wire responses
+    and metrics.
     """
-    return execute_batch_requests(list(requests), _worker_cache(cache_root), config)
+    return execute_batches(batches, _worker_cache(cache_root))
 
 
 def shard_memo_stats() -> Dict[str, float]:
@@ -123,8 +121,8 @@ class ShardWorker:
     """Shard ``index``'s executor: one long-lived worker process.
 
     The worker is forked and warmed at construction, before the caller
-    starts an event loop around it.  When it dies, the batch it was
-    running resolves to retryable worker-lost outcomes, and the next
+    starts an event loop around it.  When it dies, the submissions it
+    held resolve to retryable worker-lost outcomes, and the next
     :meth:`submit` replaces it.
     """
 
@@ -151,32 +149,26 @@ class ShardWorker:
         self._worker = WorkerProcess()
 
     def submit(
-        self, requests: Sequence[protocol.SolveRequest], config: SolveConfig
-    ) -> "Future[List[Dict[str, object]]]":
-        """Dispatch one formed batch; resolves to the worker's outcome dicts."""
-        batch = list(requests)
-        self._batches.inc()
-        self._requests.inc(len(batch))
+        self, batches: Sequence[Sequence[protocol.SolveRequest]]
+    ) -> "Future[List[List[Dict[str, object]]]]":
+        """Dispatch one pop's batches; resolves to the worker's outcome lists."""
+        sizes = [len(batch) for batch in batches]
+        self._batches.inc(len(sizes))
+        self._requests.inc(sum(sizes))
         try:
-            running = self._worker.submit(
-                shard_execute, batch, self._cache_root, config
-            )
+            running = self._worker.submit(shard_execute, batches, self._cache_root)
         except BrokenProcessPool:
-            # The worker died since its last batch: this batch goes to
-            # its replacement instead.
+            # The worker died since its last submission: these batches go
+            # to its replacement instead.
             self._worker.shutdown(wait=False)
             self._worker = WorkerProcess()
             self._respawns.inc()
-            running = self._worker.submit(
-                shard_execute, batch, self._cache_root, config
-            )
+            running = self._worker.submit(shard_execute, batches, self._cache_root)
         outcomes: Future = Future()
-        running.add_done_callback(
-            lambda done: self._settle(done, outcomes, len(batch))
-        )
+        running.add_done_callback(lambda done: self._settle(done, outcomes, sizes))
         return outcomes
 
-    def _settle(self, done: Future, outcomes: Future, count: int) -> None:
+    def _settle(self, done: Future, outcomes: Future, sizes: List[int]) -> None:
         error = done.exception()
         if isinstance(error, BrokenProcessPool):
             lost = {
@@ -189,7 +181,7 @@ class ShardWorker:
                 "retry_after_ms": WORKER_LOST_RETRY_AFTER_MS,
                 "shard": self.index,
             }
-            outcomes.set_result([lost] * count)
+            outcomes.set_result([[lost] * size for size in sizes])
         elif error is not None:
             outcomes.set_exception(error)
         else:

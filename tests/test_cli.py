@@ -234,6 +234,20 @@ class TestBenchAndCache:
         assert trajectory[0] == legacy
         assert all("generated_at" in entry for entry in trajectory[1:])
 
+    def test_service_bench_marks_saturated_passes(self):
+        from repro.experiments.bench import (
+            render_bench_service_table,
+            run_bench_service,
+        )
+
+        for rate, saturated in ((200.0, False), (100_000.0, True)):
+            report = run_bench_service(worker_counts=[1], n=120, rate_jobs_s=rate)
+            for label in ("cold", "warm"):
+                row = report["points"][0][label]
+                assert row["done"] == 120
+                assert row["saturated"] is saturated, (rate, label, row)
+            assert ("saturated\n" in render_bench_service_table(report)) is saturated
+
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         cache_dir = os.path.join(tmp_path, "cache")
         report_path = os.path.join(tmp_path, "bench.json")

@@ -35,6 +35,7 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import compare_policies, simulate_unit
 from repro.workloads.dspstone import dspstone_trace
 from repro.workloads.synthetic import synthetic_tasks
+from tests.cache_faults import FAULTS, bare_scalar, copied_from_another_key
 
 
 @pytest.fixture
@@ -255,6 +256,45 @@ class TestResultCache:
         assert full.from_cache
         assert full.totals == first.totals
         assert full.memory == first.memory
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_corrupt_entry_is_recomputed_and_overwritten(
+        self, small_specs, tmp_path, fault
+    ):
+        cache = ResultCache(str(tmp_path / "c"))
+        spec = small_specs[0]
+        first = run_unit(spec, 0, cache)
+        config = spec.trace_factory.trace_config()
+        key, donor = (
+            cache.unit_key(spec.platform, config, 0, policy)
+            for policy in ("mbkp", "sdem")
+        )
+        FAULTS[fault](cache, key, donor)
+        reader = ResultCache(cache.root)
+        again = run_unit(spec, 0, reader)
+        assert not again.from_cache
+        assert reader.corrupt == 1
+        assert (again.totals, again.memory) == (first.totals, first.memory)
+        healed = run_unit(spec, 0, reader)
+        assert healed.from_cache
+        assert (healed.totals, healed.memory) == (first.totals, first.memory)
+        assert reader.corrupt == 1
+        assert reader.stats().corrupt_entries == 0
+
+    def test_stats_count_corrupt_entries_on_disk(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "c"))
+        keys = [f"{index:02x}" + "0" * 62 for index in range(3)]
+        for key in keys:
+            cache.put(key, {"total": 1.0, "memory": 0.5})
+        assert cache.stats().corrupt_entries == 0
+        bare_scalar(cache, keys[0], None)
+        copied_from_another_key(cache, keys[1], keys[2])
+        stats = cache.stats()
+        assert (stats.entries, stats.corrupt_entries) == (3, 2)
+        assert "(2 corrupt)" in stats.render()
+        assert cache.get(keys[0]) is None
+        assert cache.stats().corrupt == 1
+        assert "1 corrupt" in cache.stats().render()
 
     def test_cache_pickles_without_counters(self, tmp_path):
         import pickle

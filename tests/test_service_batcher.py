@@ -20,6 +20,7 @@ from repro.service.batcher import InlineExecutor, batch_key, form_batches
 from repro.service.protocol import SolveRequest, canonical_result_bytes
 from repro.service.queue import QueueEntry
 from repro.service.server import SolveService
+from tests.cache_faults import FAULTS
 
 def make_entry(request_id, *, tasks=None, platform=None, numeric=None, scheme="auto"):
     tasks = tasks if tasks is not None else TaskSet(
@@ -45,7 +46,7 @@ def run_batch(service, entries):
         loop = asyncio.get_running_loop()
         for entry in entries:
             entry.context = loop.create_future()
-        await service._run_batch(0, entries)
+        await service._run_pop(0, entries)
         return [(entry, entry.context.result()) for entry in entries]
 
     return asyncio.run(dispatch())
@@ -198,6 +199,42 @@ class TestRunBatch:
     def test_empty_batch_is_noop(self):
         executor = InlineExecutor()
         try:
-            assert executor.submit([], current()).result(timeout=10) == []
+            assert executor.submit([]).result(timeout=10) == []
         finally:
             executor.shutdown()
+
+
+class TestCorruptCacheEntries:
+    """Every damaged entry is a counted miss: recomputed, then overwritten."""
+
+    @staticmethod
+    def _key(service, entry, response):
+        request = entry.request
+        return service_request_key(
+            request.platform,
+            request.tasks_config(),
+            response["result"]["scheme"],
+            request.config,
+        )
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_damaged_entry_is_recomputed(self, service, fault):
+        donor_tasks = TaskSet([Task(0.0, 30.0, 3000.0, "d")])
+        [(donor_entry, donor)] = run_batch(
+            service, [make_entry("d", tasks=donor_tasks)]
+        )
+        [(entry, first)] = run_batch(service, [make_entry("x")])
+        cache = service.executors[0].cache
+        key = self._key(service, entry, first)
+        FAULTS[fault](cache, key, self._key(service, donor_entry, donor))
+        [(_, again)] = run_batch(service, [make_entry("y")])
+        assert again["ok"] is True
+        assert again["provenance"]["cache"] == "miss"
+        assert canonical_result_bytes(again["result"]) == canonical_result_bytes(
+            first["result"]
+        )
+        assert service.metrics.counter("repro_cache_corrupt_total").value == 1
+        [(_, healed)] = run_batch(service, [make_entry("z")])
+        assert healed["provenance"]["cache"] == "hit"
+        assert cache.get(key) == first["result"]
+        assert service.metrics.counter("repro_cache_corrupt_total").value == 1

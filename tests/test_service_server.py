@@ -5,7 +5,6 @@ from __future__ import annotations
 import asyncio
 import io
 import json
-import threading
 
 import pytest
 
@@ -14,6 +13,7 @@ from repro.experiments.cache import ResultCache
 from repro.service import protocol
 from repro.service.client import ServiceClient, demo_wire_requests, run_demo
 from repro.service.server import SolveService
+from tests.service_helpers import ExecutorHold, until
 
 
 def run(coro):
@@ -71,7 +71,7 @@ class TestHandleMessage:
         async def body(service):
             return await service.handle_message(solve_wire("s1"))
 
-        response = run(with_service(body, batch_window_ms=0.0))
+        response = run(with_service(body))
         assert response["ok"] is True
         direct = protocol.execute_request(protocol.request_from_wire(solve_wire("s1")))
         assert protocol.canonical_result_bytes(
@@ -98,39 +98,68 @@ class TestLifecycle:
 
         run(body())
 
-    def test_admitted_requests_answered_before_drain_returns(self):
+    def test_admitted_requests_answered_before_drain_returns(self, monkeypatch):
+        hold = ExecutorHold(monkeypatch)
+
         async def body(service):
+            holders = await hold.occupy(service, solve_wire)
             pending = [
                 asyncio.create_task(service.handle_message(solve_wire(f"d{i}")))
                 for i in range(4)
             ]
             await asyncio.sleep(0)  # let the offers land
-            await service.drain()
-            responses = await asyncio.gather(*pending)
+            assert service.queue.depth == 4
+            drain = asyncio.create_task(service.drain())
+            await asyncio.sleep(0.01)
+            assert not drain.done()  # four requests still queued
+            hold.release()
+            await drain
+            responses = await asyncio.gather(*pending, *holders)
             assert all(r["ok"] for r in responses)
 
         async def scenario():
-            service = SolveService(batch_window_ms=30.0)
+            service = SolveService()
             await service.start()
             await body(service)
 
         run(scenario())
 
-    def test_deadline_expiry_before_dispatch(self):
+    def test_drain_of_an_idle_service_returns_promptly(self):
+        async def scenario():
+            service = SolveService()
+            await service.start()
+            await asyncio.sleep(0.01)  # every loop now waits on its wake
+            started = asyncio.get_running_loop().time()
+            await asyncio.wait_for(service.drain(), timeout=5)
+            return asyncio.get_running_loop().time() - started
+
+        assert run(scenario()) < 0.05
+
+    def test_deadline_expiry_before_dispatch(self, monkeypatch):
+        hold = ExecutorHold(monkeypatch)
+
         async def body(service):
-            response = await service.handle_message(
-                solve_wire("slow", timeout_ms=0.5)
+            holders = await hold.occupy(service, solve_wire)
+            pending = asyncio.create_task(
+                service.handle_message(solve_wire("slow", timeout_ms=0.5))
             )
+            await asyncio.sleep(0.005)  # "slow" expires while queued
+            hold.release()
+            response = await pending
             assert response["error"]["code"] == protocol.E_DEADLINE_EXCEEDED
             assert "0.5 ms" in response["error"]["message"]
             assert (
                 service.metrics.counter("repro_deadline_expired_total").value == 1
             )
+            assert all(r["ok"] for r in await asyncio.gather(*holders))
 
-        run(with_service(body, batch_window_ms=60.0))
+        run(with_service(body))
 
-    def test_cancel_pending_request(self):
+    def test_cancel_pending_request(self, monkeypatch):
+        hold = ExecutorHold(monkeypatch)
+
         async def body(service):
+            holders = await hold.occupy(service, solve_wire)
             pending = asyncio.create_task(
                 service.handle_message(solve_wire("victim"))
             )
@@ -139,24 +168,34 @@ class TestLifecycle:
                 {"kind": "cancel", "id": "c", "target": "victim"}
             )
             assert cancel["result"]["cancelled"] is True
+            hold.release()
             response = await pending
             assert response["error"]["code"] == protocol.E_CANCELLED
+            assert all(r["ok"] for r in await asyncio.gather(*holders))
 
-        run(with_service(body, batch_window_ms=120.0))
+        run(with_service(body))
 
-    def test_queue_full_rejection_carries_retry_after(self):
+    def test_queue_full_rejection_carries_retry_after(self, monkeypatch):
+        hold = ExecutorHold(monkeypatch)
+
         async def body(service):
+            holders = await hold.occupy(service, solve_wire)
             first = asyncio.create_task(service.handle_message(solve_wire("one")))
             await asyncio.sleep(0)  # "one" now occupies the single seat
             second = await service.handle_message(solve_wire("two"))
             assert second["error"]["code"] == protocol.E_QUEUE_FULL
             assert second["error"]["retry_after_ms"] > 0
+            hold.release()
             assert (await first)["ok"] is True
+            assert all(r["ok"] for r in await asyncio.gather(*holders))
 
-        run(with_service(body, capacity=1, batch_window_ms=120.0))
+        run(with_service(body, capacity=1))
 
-    def test_sweep_lane_shed_while_degraded(self):
+    def test_sweep_lane_shed_while_degraded(self, monkeypatch):
+        hold = ExecutorHold(monkeypatch)
+
         async def body(service):
+            holders = await hold.occupy(service, solve_wire)
             held = [
                 asyncio.create_task(service.handle_message(solve_wire(f"h{i}")))
                 for i in range(2)
@@ -165,9 +204,10 @@ class TestLifecycle:
             shed = await service.handle_message(solve_wire("bulk", lane="sweep"))
             assert shed["error"]["code"] == protocol.E_SHEDDING
             assert service.metrics.counter("repro_rejected_shed_total").value == 1
-            assert all(r["ok"] for r in await asyncio.gather(*held))
+            hold.release()
+            assert all(r["ok"] for r in await asyncio.gather(*held, *holders))
 
-        run(with_service(body, capacity=4, shed_threshold=0.5, batch_window_ms=120.0))
+        run(with_service(body, capacity=4, shed_threshold=0.5))
 
 
 class TestBackendResolution:
@@ -181,23 +221,13 @@ class TestBackendResolution:
         running batch's backend."""
         default = vectorized.get_backend()
         pinned = "numpy" if default == "scalar" else "scalar"
-        started, release = threading.Event(), threading.Event()
-        real = protocol.execute_request
-
-        def blocking(request):
-            if request.id == "A":
-                started.set()
-                assert release.wait(timeout=30)
-            return real(request)
-
-        monkeypatch.setattr(protocol, "execute_request", blocking)
+        hold = ExecutorHold(monkeypatch, ids={"A"})
 
         async def body(service):
             first = asyncio.create_task(
                 service.handle_message(solve_wire("A", numeric=pinned))
             )
-            loop = asyncio.get_running_loop()
-            assert await loop.run_in_executor(None, started.wait, 30)
+            await hold.wait_started()
             # A's config is scoped to its batch: this thread keeps its own.
             assert vectorized.get_backend() == default
             rest = [
@@ -208,15 +238,13 @@ class TestBackendResolution:
             ]
             await asyncio.sleep(0)
             assert service.queue.depth == 2
-            for _ in range(3000):  # B and C popped and batched under the pin
-                if service.queue.depth == 0:
-                    break
-                await asyncio.sleep(0.005)
+            # B and C popped and batched under the pin
+            await until(lambda: service.queue.depth == 0)
             assert service.queue.depth == 0
-            release.set()
+            hold.release()
             return {r["id"]: r for r in await asyncio.gather(first, *rest)}
 
-        responses = run(with_service(body, batch_window_ms=20.0))
+        responses = run(with_service(body))
         assert all(r["ok"] for r in responses.values())
         backends = {key: r["provenance"]["backend"] for key, r in responses.items()}
         assert backends == {"A": pinned, "B": default, "C": pinned}
@@ -306,7 +334,7 @@ class TestStdioTransport:
         outstream = io.StringIO()
 
         async def scenario():
-            service = SolveService(batch_window_ms=0.0)
+            service = SolveService()
             await service.serve_stdio(instream, outstream)
 
         run(scenario())
@@ -351,10 +379,10 @@ class TestCachePersistence:
             return response
 
         first = run(
-            with_service(one_round, cache=ResultCache(cache_root), batch_window_ms=0.0)
+            with_service(one_round, cache=ResultCache(cache_root))
         )
         second = run(
-            with_service(one_round, cache=ResultCache(cache_root), batch_window_ms=0.0)
+            with_service(one_round, cache=ResultCache(cache_root))
         )
         assert first["provenance"]["cache"] == "miss"
         assert second["provenance"]["cache"] == "hit"

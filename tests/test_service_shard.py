@@ -154,7 +154,6 @@ class TestByteIdentity:
                 shards=shards,
                 cache=cache,
                 capacity=256,
-                batch_window_ms=0.0,
             )
         )
 
@@ -182,7 +181,7 @@ class TestByteIdentity:
             return await service.handle_message(solve_wire("p1"))
 
         response = run(
-            with_service(body, shards=2, cache=cache, batch_window_ms=0.0)
+            with_service(body, shards=2, cache=cache)
         )
         assert response["ok"] is True
         assert response["provenance"]["shard"] in (0, 1)
@@ -195,7 +194,7 @@ class TestDrain:
 
         async def body():
             service = SolveService(
-                shards=2, cache=cache, capacity=64, batch_window_ms=5.0
+                shards=2, cache=cache, capacity=64
             )
             await service.start()
             tasks = [
@@ -219,7 +218,7 @@ class TestDrain:
 
         async def body():
             service = SolveService(
-                shards=2, cache=cache, capacity=64, batch_window_ms=0.0
+                shards=2, cache=cache, capacity=64
             )
             await service.start()
             await service.handle_message(solve_wire("m1"))
@@ -237,7 +236,7 @@ class TestDrain:
         cache = ResultCache(str(tmp_path / "cache-twice"))
 
         async def body():
-            service = SolveService(shards=2, cache=cache, batch_window_ms=0.0)
+            service = SolveService(shards=2, cache=cache)
             await service.start()
             stopped = []
             for index, executor in enumerate(service.executors):
@@ -287,7 +286,7 @@ class TestWorkerLoss:
         monkeypatch.setattr(protocol, "execute_request", stalled)
 
         async def body():
-            service = SolveService(shards=1, batch_window_ms=0.0)
+            service = SolveService(shards=1)
             await service.start()
             doomed = [
                 asyncio.create_task(service.handle_message(solve_wire(f"doomed{i}")))

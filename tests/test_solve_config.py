@@ -64,7 +64,7 @@ def serve(wires, **kwargs):
     """Every wire's response from one service, submitted concurrently."""
 
     async def body():
-        service = SolveService(batch_window_ms=5.0, **kwargs)
+        service = SolveService(**kwargs)
         await service.start()
         try:
             return await asyncio.gather(
